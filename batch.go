@@ -51,14 +51,15 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 		return out
 	}
 	// Up-front validation: one error shape for node and attribute, applied
-	// before any pipeline is consulted. Expression queries are prepared here
-	// too — once per distinct expression — so workers never parse and a
-	// malformed expression rejects before any query work.
+	// before any query work. Each query's engine spec is built here too —
+	// expressions are prepared once per distinct expression — so workers
+	// never parse and a malformed expression rejects before any query work.
 	prepared := make(map[string]*PreparedQuery)
-	specs := make([]*PreparedQuery, len(queries))
+	specs := make([]engine.Spec, len(queries))
 	for i, q := range queries {
 		out[i].Query = q
 		if q.Expr == "" {
+			specs[i] = engine.Spec{Variant: engine.VariantCODL, Q: q.Node, Attr: q.Attr}
 			out[i].Err = s.validate(q.Node, q.Attr)
 			continue
 		}
@@ -71,11 +72,11 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 			}
 			prepared[q.Expr] = pq
 		}
-		specs[i] = pq
 		node := q.Node
 		if pq.hasNode {
 			node = pq.node
 		}
+		specs[i] = pq.spec(node)
 		out[i].Err = s.validate(node, pq.attr)
 	}
 	if workers <= 0 {
@@ -89,9 +90,11 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 	}
 	// One Recorder shared by every worker: counters are atomic and the trace
 	// serializes span appends, so concurrent workers record safely. The batch
-	// gets one trace ID derived statelessly from (Seed, batch size) — the
-	// per-item streams stay untouched and the Searcher's query sequence is
-	// not consumed, so batch instrumentation stays byte-invisible.
+	// gets one trace ID derived statelessly from (Seed, batch size) before any
+	// worker starts; the trace keeps its first ID and seed, so the items'
+	// own stamps in discoverSeeded leave it unchanged. The per-item streams
+	// stay untouched and the Searcher's query sequence is not consumed, so
+	// batch instrumentation stays byte-invisible.
 	rec := obs.FromContext(ctx)
 	rec.EnsureTraceID(graph.ItemSeed(s.opts.Seed^0xba7c4, len(queries)))
 	jobs := make(chan int)
@@ -113,26 +116,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 					rec.CountQuery(out[i].Err)
 					continue
 				}
-				q := queries[i]
-				rng := graph.NewRand(graph.ItemSeed(s.opts.Seed, i))
-				var pl *engine.Plan
-				if pq := specs[i]; pq != nil {
-					node := q.Node
-					if pq.hasNode {
-						node = pq.node
-					}
-					pl = s.eng.CompileSpec(pq.spec(node))
-				} else {
-					pl = s.eng.Compile(engine.VariantCODL, q.Node, q.Attr)
-				}
-				com, err := s.eng.Execute(ctx, pl, rng)
-				rec.CountQuery(err)
-				if err != nil {
-					out[i].Err = err
-					continue
-				}
-				out[i].Community = Community{Nodes: com.Nodes, Found: com.Found,
-					FromIndex: com.FromIndex, Rank: com.Rank}
+				out[i].Community, out[i].Err = s.discoverSeeded(ctx, specs[i], graph.ItemSeed(s.opts.Seed, i))
 			}
 		}()
 	}

@@ -283,7 +283,7 @@ func BenchmarkHimorBuild(b *testing.B) {
 
 func BenchmarkCODLQuery(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
-	codl, err := engine.NewCODL(g, engine.Params{K: 5, Theta: 5, Seed: 4})
+	eng, err := engine.Build(context.Background(), g, engine.Params{K: 5, Theta: 5, Seed: 4}, engine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +291,8 @@ func BenchmarkCODLQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := codl.Query(q.Node, q.Attr, graph.NewRand(uint64(i))); err != nil {
+		pl := eng.Compile(engine.VariantCODL, q.Node, q.Attr)
+		if _, err := eng.Execute(context.Background(), pl, graph.NewRand(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,30 +529,4 @@ func BenchmarkDiscoverBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAdaptiveSampling compares fixed-Θ compressed evaluation with the
-// stability-driven adaptive variant.
-func BenchmarkAdaptiveSampling(b *testing.B) {
-	gds := loadBenchGraph(b, "cora")
-	tr, err := hac.Cluster(gds, hac.UnweightedAverage)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch := core.ChainFromTree(tr, 100)
-	model := influence.NewWeightedCascade(gds)
-	b.Run("fixed", func(b *testing.B) {
-		s := influence.NewSampler(gds, model, graph.NewRand(1))
-		for i := 0; i < b.N; i++ {
-			pool := s.Batch(5 * gds.N())
-			core.CompressedEvaluate(ch, pool, 5)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		s := influence.NewSampler(gds, model, graph.NewRand(1))
-		for i := 0; i < b.N; i++ {
-			res := core.CompressedEvaluateAdaptive(ch, s, 5, gds.N()/2, 5*gds.N())
-			b.ReportMetric(float64(res.Samples), "samples")
-		}
-	})
 }

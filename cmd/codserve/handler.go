@@ -145,11 +145,9 @@ var routeMethods = map[string][]string{
 
 // NewHandler wires the endpoints. s may be nil; the Handler then reports
 // not-ready until SetSearcher (local offline build) or a swapper (blob-store
-// distribution) delivers serving state. g is the boot graph s was built
-// over; it is unused when s is nil, because each installed serving state
-// carries its own graph.
-func NewHandler(g *cod.Graph, s *cod.Searcher, cfg Config) *Handler {
-	_ = g // the serving graph always travels with the installed state
+// distribution) delivers serving state. Each installed serving state carries
+// its own graph.
+func NewHandler(s *cod.Searcher, cfg Config) *Handler {
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = defaultMaxInFlight

@@ -25,7 +25,7 @@ func testHandler(t *testing.T, cfg Config) (*Handler, *cod.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewHandler(g, s, cfg), g
+	return NewHandler(s, cfg), g
 }
 
 func testServer(t *testing.T) (*httptest.Server, *cod.Graph) {
@@ -383,7 +383,7 @@ func TestNotReadyUntilSearcherAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(g, nil, Config{})
+	h := NewHandler(nil, Config{})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -121,7 +121,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	h := NewHandler(g, nil, Config{QueryTimeout: *queryTimeout, MaxInFlight: *maxInFlight, Metrics: reg,
+	h := NewHandler(nil, Config{QueryTimeout: *queryTimeout, MaxInFlight: *maxInFlight, Metrics: reg,
 		SlowQuery: *slowQuery, Events: events})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

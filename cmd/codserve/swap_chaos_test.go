@@ -156,7 +156,7 @@ func TestChaosSwapUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refH := NewHandler(nil, nil, Config{})
+		refH := NewHandler(nil, Config{})
 		refH.SetServing(ref, cur.Epoch, cur.ParamsHash)
 		bodies := make(map[int][]byte, queryNodes)
 		for q := 0; q < queryNodes; q++ {

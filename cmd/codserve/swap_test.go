@@ -41,7 +41,7 @@ func publishEpochSeed(t *testing.T, store blobstore.Store, epoch, seed uint64) {
 
 func storeSwapper(t *testing.T, store blobstore.Store) (*Swapper, *Handler) {
 	t.Helper()
-	h := NewHandler(nil, nil, Config{})
+	h := NewHandler(nil, Config{})
 	sw := &Swapper{Store: store, Dataset: "tiny", Base: cod.Options{SampleCache: 8}, Policy: swapPolicy(), H: h}
 	sw.Policy.OnRetry = func(string, int, error) { h.fetchRetries.Inc() }
 	return sw, h

@@ -65,20 +65,13 @@ func BuildHimorWithSamplerCtx(ctx context.Context, g *graph.Graph, t *hier.Tree,
 	return h, nil
 }
 
-// BuildHimorParallel constructs the index from an RR pool sampled across
+// BuildHimorParallelCtx constructs the index from an RR pool sampled across
 // workers goroutines under the IC model (sampling dominates construction
 // cost, so parallelizing it captures most of the speedup; the HFS and
 // bottom-up merge stay single-threaded and deterministic). Each pool sample
 // is seeded from its index, so the index is byte-identical for any workers.
-func BuildHimorParallel(g *graph.Graph, t *hier.Tree, model influence.Model, theta int, seed uint64, workers int) *Himor {
-	h, _ := BuildHimorParallelCtx(context.Background(), g, t, model, theta, seed, workers)
-	return h
-}
-
-// BuildHimorParallelCtx is BuildHimorParallel with cancellation: every
-// sampling worker polls ctx.Err() at a bounded interval (see
+// Every sampling worker polls ctx.Err() at a bounded interval (see
 // influence.ParallelBatchCtx), so shutdown can abandon a warmup in flight.
-// Uncancelled builds are byte-identical for any worker count.
 func BuildHimorParallelCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, model influence.Model, theta int, seed uint64, workers int) (*Himor, error) {
 	pool, err := influence.ParallelBatchCtx(ctx, g, model, theta*g.N(), seed, workers)
 	if err != nil {

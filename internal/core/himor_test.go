@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -131,7 +132,10 @@ func TestHimorParallelMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := influence.NewWeightedCascade(g)
-	idx := BuildHimorParallel(g, tr, model, 4, 91, 4)
+	idx, err := BuildHimorParallelCtx(context.Background(), g, tr, model, 4, 91, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Reference from the identical pool, consumed in the same order.
 	pool := influence.ParallelBatch(g, model, 4*g.N(), 91, 4)
 	i := 0

@@ -15,34 +15,55 @@ import (
 // recursion of Eq. 3), recluster the attribute-weighted subgraph induced by
 // C_ℓ, and splice the result under C_ℓ's ancestors to obtain the
 // attribute-aware chain H_ℓ(q).
+//
+// Every attribute-driven step runs against a node membership mask in[u]
+// (does u satisfy the query's predicate): a compound predicate from the
+// query DSL and a single attribute (AttrMask) reduce to the same form, so
+// there is one scorer, one edge reweighting and one LORE driver. The
+// single-attribute entry points lower onto them in one line.
 
-// AttributeWeighted returns g_ℓ: a copy of g whose edges between two nodes
-// both carrying attr get weight boosted by beta (w' = w·(1+beta)). The
-// transformation scheme is orthogonal to the paper's contribution; this is
-// the simplest synergized-weight instance.
-func AttributeWeighted(g *graph.Graph, attr graph.AttrID, beta float64) *graph.Graph {
+// AttrMask fills in, which must have g.N() entries, with the membership mask
+// of one attribute (in[v] reports whether v carries attr) and returns it.
+func AttrMask(in []bool, g *graph.Graph, attr graph.AttrID) []bool {
+	for v := range in {
+		in[v] = g.HasAttr(graph.NodeID(v), attr)
+	}
+	return in
+}
+
+// PredWeighted returns g_P: a copy of g whose edges between two nodes both
+// satisfying the predicate mask get weight boosted by beta (w' = w·(1+beta)).
+// The transformation scheme is orthogonal to the paper's contribution; this
+// is the simplest synergized-weight instance.
+func PredWeighted(g *graph.Graph, in []bool, beta float64) *graph.Graph {
 	return graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
-		if g.HasAttr(u, attr) && g.HasAttr(v, attr) {
+		if in[u] && in[v] {
 			return w * (1 + beta)
 		}
 		return w
 	})
 }
 
-// ReclusterScores computes r(C_h) for every community in H(q) (Definition 4
-// via Eq. 3) in O(|E_g|) time: one LCA per query-attributed edge plus a
-// prefix sweep over the chain. Returned scores align with ChainFromTree(t,q);
-// best is the argmax over h >= 1 (Algorithm 2 starts at i = 1), with ties
-// resolved toward the deepest community. When the graph has no
-// query-attributed edge incident to the chain, best defaults to min(1, L-1).
-func ReclusterScores(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID) (scores []float64, best int) {
+// AttributeWeighted returns g_ℓ: PredWeighted over the mask of attr.
+func AttributeWeighted(g *graph.Graph, attr graph.AttrID, beta float64) *graph.Graph {
+	return PredWeighted(g, AttrMask(make([]bool, g.N()), g, attr), beta)
+}
+
+// ReclusterScoresPred computes r(C_h) for every community in H(q) (Definition
+// 4 via Eq. 3) in O(|E_g|) time: one LCA per edge whose endpoints both
+// satisfy the predicate mask, plus a prefix sweep over the chain. Returned
+// scores align with ChainFromTree(t,q); best is the argmax over h >= 1
+// (Algorithm 2 starts at i = 1), with ties resolved toward the deepest
+// community. When no predicate-satisfying edge touches the chain, best
+// defaults to min(1, L-1).
+func ReclusterScoresPred(g *graph.Graph, t *hier.Tree, q graph.NodeID, in []bool) (scores []float64, best int) {
 	ch := ChainFromTree(t, q)
 	L := ch.Len()
 	delta := make([]int64, L)
 	leafQ := t.LeafOf(q)
 	topDepth := ch.Depth(0)
 	g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
-		if !g.HasAttr(u, attr) || !g.HasAttr(v, attr) {
+		if !in[u] || !in[v] {
 			return
 		}
 		c := t.LCANodes(u, v)
@@ -77,6 +98,11 @@ func ReclusterScores(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.At
 	return scores, best
 }
 
+// ReclusterScores is ReclusterScoresPred over the mask of attr.
+func ReclusterScores(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID) (scores []float64, best int) {
+	return ReclusterScoresPred(g, t, q, AttrMask(make([]bool, g.N()), g, attr))
+}
+
 // Reclustering is the output of LORE: the chosen community C_ℓ, the induced
 // attribute-weighted subgraph, and the local hierarchy over it.
 type Reclustering struct {
@@ -92,26 +118,22 @@ type Reclustering struct {
 	Local *hier.Tree
 }
 
-// Lore runs Algorithm 2: pick C_ℓ by reclustering score over the
-// non-attributed hierarchy t, induce C_ℓ's subgraph, apply the attribute
-// weights to that subgraph only, and recluster it. Weighting only the
-// induced subgraph is equivalent to inducing from the globally weighted g_ℓ
-// (edge weights depend only on endpoint attributes) but costs O(|C_ℓ|)
-// instead of O(|E_g|) per query.
-func Lore(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID, beta float64, linkage hac.Linkage) (*Reclustering, error) {
-	return LoreCtx(context.Background(), g, t, q, attr, beta, linkage)
-}
-
-// LoreCtx is Lore with cancellation: ctx is checked at every phase boundary
-// (before scoring, before inducing, inside the recluster's merge loop via
+// LorePredCtx runs Algorithm 2 against a predicate mask: pick C_ℓ by
+// reclustering score over the non-attributed hierarchy t, induce C_ℓ's
+// subgraph, boost the edges whose endpoints both satisfy the predicate, and
+// recluster. Weighting only the induced subgraph is equivalent to inducing
+// from the globally weighted g_P (edge weights depend only on endpoint
+// membership) but costs O(|C_ℓ|) instead of O(|E_g|) per query. The mask is
+// read, never retained. ctx is checked at every phase boundary (before
+// scoring, before inducing, inside the recluster's merge loop via
 // hac.ClusterCtx), so a canceled query never starts the expensive local
-// clustering. Uncancelled results are identical to Lore.
-func LoreCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID, beta float64, linkage hac.Linkage) (*Reclustering, error) {
+// clustering.
+func LorePredCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, in []bool, beta float64, linkage hac.Linkage) (*Reclustering, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: lore canceled before scoring: %w", err)
 	}
 	score := obs.FromContext(ctx).StartSpan(obs.StageLoreScore)
-	scores, best := ReclusterScores(g, t, q, attr)
+	scores, best := ReclusterScoresPred(g, t, q, in)
 	score.EndItems(len(scores))
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: lore canceled before reclustering: %w", err)
@@ -119,12 +141,21 @@ func LoreCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, 
 	ch := ChainFromTree(t, q)
 	cl := ch.Vertex(best)
 	sub := graph.Induce(g, t.Members(cl))
-	weighted := AttributeWeighted(sub.G, attr, beta)
+	localIn := make([]bool, len(sub.ToParent))
+	for lu, pu := range sub.ToParent {
+		localIn[lu] = in[pu]
+	}
+	weighted := PredWeighted(sub.G, localIn, beta)
 	local, err := hac.ClusterCtx(ctx, weighted, linkage)
 	if err != nil {
 		return nil, fmt.Errorf("core: reclustering C_ℓ: %w", err)
 	}
 	return &Reclustering{CL: cl, ChainIndex: best, Scores: scores, Sub: sub, Local: local}, nil
+}
+
+// LoreCtx is LorePredCtx over the mask of attr.
+func LoreCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID, beta float64, linkage hac.Linkage) (*Reclustering, error) {
+	return LorePredCtx(ctx, g, t, q, AttrMask(make([]bool, g.N()), g, attr), beta, linkage)
 }
 
 // MergedChain builds H_ℓ(q): the ancestors of q inside the reclustered local

@@ -6,23 +6,107 @@ import (
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
+	"github.com/codsearch/cod/internal/hier"
 )
 
-// attrMask materializes the membership mask of one attribute: the reduction
-// under which the predicate variants must reproduce the legacy functions.
-func attrMask(g *graph.Graph, attr graph.AttrID) []bool {
-	in := make([]bool, g.N())
-	for v := range in {
-		in[v] = g.HasAttr(graph.NodeID(v), attr)
-	}
-	return in
+// The single-attribute scorer, edge reweighting and LORE driver as they
+// stood before lowering onto the mask form, kept verbatim as the reference
+// the mask form (and the one-line single-attribute lowerings) must
+// reproduce exactly.
+
+func legacyAttributeWeighted(g *graph.Graph, attr graph.AttrID, beta float64) *graph.Graph {
+	return graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
+		if g.HasAttr(u, attr) && g.HasAttr(v, attr) {
+			return w * (1 + beta)
+		}
+		return w
+	})
 }
 
-func TestPredWeightedMatchesAttributeWeighted(t *testing.T) {
-	g := fig5Graph(t)
-	want := AttributeWeighted(g, 0, 1)
-	got := PredWeighted(g, attrMask(g, 0), 1)
-	for v := graph.NodeID(0); int(v) < g.N(); v++ {
+func legacyReclusterScores(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID) (scores []float64, best int) {
+	ch := ChainFromTree(t, q)
+	L := ch.Len()
+	delta := make([]int64, L)
+	leafQ := t.LeafOf(q)
+	topDepth := ch.Depth(0)
+	g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
+		if !g.HasAttr(u, attr) || !g.HasAttr(v, attr) {
+			return
+		}
+		c := t.LCANodes(u, v)
+		if !t.IsAncestor(c, leafQ) {
+			return // lca does not contain q (Alg. 2 line 10)
+		}
+		idx := topDepth - t.Depth(c)
+		if idx >= 0 && idx < L {
+			delta[idx]++
+		}
+	})
+	scores = make([]float64, L)
+	var num int64
+	for h := 0; h < L; h++ {
+		num += delta[h] * int64(ch.Depth(h))
+		scores[h] = float64(num) / float64(ch.Size(h))
+	}
+	best = -1
+	var bestScore float64
+	for h := 1; h < L; h++ {
+		if scores[h] > bestScore {
+			bestScore = scores[h]
+			best = h
+		}
+	}
+	if best == -1 {
+		best = 1
+		if best >= L {
+			best = L - 1
+		}
+	}
+	return scores, best
+}
+
+func legacyLore(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID, beta float64, linkage hac.Linkage) (*Reclustering, error) {
+	scores, best := legacyReclusterScores(g, t, q, attr)
+	ch := ChainFromTree(t, q)
+	cl := ch.Vertex(best)
+	sub := graph.Induce(g, t.Members(cl))
+	weighted := legacyAttributeWeighted(sub.G, attr, beta)
+	local, err := hac.ClusterCtx(context.Background(), weighted, linkage)
+	if err != nil {
+		return nil, err
+	}
+	return &Reclustering{CL: cl, ChainIndex: best, Scores: scores, Sub: sub, Local: local}, nil
+}
+
+func attrMask(g *graph.Graph, attr graph.AttrID) []bool {
+	return AttrMask(make([]bool, g.N()), g, attr)
+}
+
+// legacyCase is one graph the mask form is compared on.
+type legacyCase struct {
+	g  *graph.Graph
+	tr *hier.Tree
+	q  graph.NodeID
+}
+
+// legacyCases are the paper's worked example plus random attributed graphs.
+func legacyCases(t *testing.T) []legacyCase {
+	t.Helper()
+	cases := []legacyCase{{fig5Graph(t), fig2Tree(t), 0}}
+	for seed := uint64(0); seed < 3; seed++ {
+		g, q := randomAttributed(t, seed+500, 40)
+		tr, err := hac.Cluster(g, hac.UnweightedAverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, legacyCase{g, tr, q})
+	}
+	return cases
+}
+
+func sameWeights(t *testing.T, got, want *graph.Graph) {
+	t.Helper()
+	for v := graph.NodeID(0); int(v) < got.N(); v++ {
 		ns, ws := got.Neighbors(v), got.Weights(v)
 		wns, wws := want.Neighbors(v), want.Weights(v)
 		if len(ns) != len(wns) {
@@ -46,45 +130,57 @@ func TestPredWeightedMatchesAttributeWeighted(t *testing.T) {
 	}
 }
 
-func TestReclusterScoresPredMatchesLegacy(t *testing.T) {
-	g := fig5Graph(t)
-	tr := fig2Tree(t)
-	for attr := graph.AttrID(0); attr < 2; attr++ {
-		wantScores, wantBest := ReclusterScores(g, tr, 0, attr)
-		gotScores, gotBest := ReclusterScoresPred(g, tr, 0, attrMask(g, attr))
-		if gotBest != wantBest {
-			t.Fatalf("attr %d: best = %d, want %d", attr, gotBest, wantBest)
+func TestPredWeightedMatchesAttributeWeighted(t *testing.T) {
+	for _, c := range legacyCases(t) {
+		for attr := graph.AttrID(0); attr < 2; attr++ {
+			want := legacyAttributeWeighted(c.g, attr, 1)
+			sameWeights(t, PredWeighted(c.g, attrMask(c.g, attr), 1), want)
+			sameWeights(t, AttributeWeighted(c.g, attr, 1), want)
 		}
-		for i := range wantScores {
-			if gotScores[i] != wantScores[i] {
-				t.Fatalf("attr %d: score %d = %v, want %v", attr, i, gotScores[i], wantScores[i])
+	}
+}
+
+func TestReclusterScoresPredMatchesLegacy(t *testing.T) {
+	for ci, c := range legacyCases(t) {
+		for attr := graph.AttrID(0); attr < 2; attr++ {
+			wantScores, wantBest := legacyReclusterScores(c.g, c.tr, c.q, attr)
+			gotScores, gotBest := ReclusterScoresPred(c.g, c.tr, c.q, attrMask(c.g, attr))
+			lowScores, lowBest := ReclusterScores(c.g, c.tr, c.q, attr)
+			if gotBest != wantBest || lowBest != wantBest {
+				t.Fatalf("case %d attr %d: best = %d (pred) / %d (attr), want %d", ci, attr, gotBest, lowBest, wantBest)
+			}
+			for i := range wantScores {
+				if gotScores[i] != wantScores[i] || lowScores[i] != wantScores[i] {
+					t.Fatalf("case %d attr %d: score %d = %v (pred) / %v (attr), want %v",
+						ci, attr, i, gotScores[i], lowScores[i], wantScores[i])
+				}
 			}
 		}
 	}
 }
 
 func TestLorePredMatchesLegacy(t *testing.T) {
-	g := fig5Graph(t)
-	tr := fig2Tree(t)
-	want, err := Lore(g, tr, 0, 0, 1, hac.UnweightedAverage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LorePredCtx(context.Background(), g, tr, 0, attrMask(g, 0), 1, hac.UnweightedAverage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CL != want.CL || got.ChainIndex != want.ChainIndex {
-		t.Fatalf("C_ℓ = (%d,%d), want (%d,%d)", got.CL, got.ChainIndex, want.CL, want.ChainIndex)
-	}
-	wm, gm := MergedChain(g, tr, want, 0), MergedChain(g, tr, got, 0)
-	if wm.Len() != gm.Len() {
-		t.Fatalf("merged chain length %d, want %d", gm.Len(), wm.Len())
-	}
-	for u := 0; u < g.N(); u++ {
-		if wm.Level(graph.NodeID(u)) != gm.Level(graph.NodeID(u)) {
-			t.Fatalf("level of node %d differs: %d vs %d",
-				u, gm.Level(graph.NodeID(u)), wm.Level(graph.NodeID(u)))
+	for ci, c := range legacyCases(t) {
+		want, err := legacyLore(c.g, c.tr, c.q, 0, 1, hac.UnweightedAverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoreCtx(context.Background(), c.g, c.tr, c.q, 0, 1, hac.UnweightedAverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CL != want.CL || got.ChainIndex != want.ChainIndex {
+			t.Fatalf("case %d: C_ℓ = (%d,%d), want (%d,%d)", ci, got.CL, got.ChainIndex, want.CL, want.ChainIndex)
+		}
+		wm, gm := MergedChain(c.g, c.tr, want, c.q), MergedChain(c.g, c.tr, got, c.q)
+		if wm.Len() != gm.Len() {
+			t.Fatalf("case %d: merged chain length %d, want %d", ci, gm.Len(), wm.Len())
+		}
+		for u := 0; u < c.g.N(); u++ {
+			if wm.Level(graph.NodeID(u)) != gm.Level(graph.NodeID(u)) {
+				t.Fatalf("case %d: level of node %d differs: %d vs %d",
+					ci, u, gm.Level(graph.NodeID(u)), wm.Level(graph.NodeID(u)))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestAttributeWeighted(t *testing.T) {
 func TestLoreAndMergedChain(t *testing.T) {
 	g := fig5Graph(t)
 	tr := fig2Tree(t)
-	rec, err := Lore(g, tr, 0, 0, 1, hac.UnweightedAverage)
+	rec, err := LoreCtx(context.Background(), g, tr, 0, 0, 1, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLoreOnGeneratedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Lore(ag, tr, q, 0, 1, hac.UnweightedAverage)
+	rec, err := LoreCtx(context.Background(), ag, tr, q, 0, 1, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestLoreOnGeneratedGraph(t *testing.T) {
 func TestSubgraphWeightingEqualsGlobal(t *testing.T) {
 	g := fig5Graph(t)
 	tr := fig2Tree(t)
-	rec, err := Lore(g, tr, 0, 0, 1, hac.UnweightedAverage)
+	rec, err := LoreCtx(context.Background(), g, tr, 0, 0, 1, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestMergedChainEvaluationMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Lore(g, tr, q, 0, 1, hac.UnweightedAverage)
+		rec, err := LoreCtx(context.Background(), g, tr, q, 0, 1, hac.UnweightedAverage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestInnerChainConsistentWithMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Lore(g, tr, q, 0, 1, hac.UnweightedAverage)
+	rec, err := LoreCtx(context.Background(), g, tr, q, 0, 1, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,92 +15,37 @@ func comBytes(c Community) string {
 	return fmt.Sprintf("found=%t level=%d fromIndex=%t nodes=%v", c.Found, c.Level, c.FromIndex, c.Nodes)
 }
 
-func TestQueryCtxMatchesQueryWhenUncancelled(t *testing.T) {
-	g, q := attrGraph(t, 3)
-	p := Params{K: 3, Theta: 4, Seed: 5}
-
-	codl, err := NewCODL(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := codl.Query(q, 0, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := codl.QueryCtx(context.Background(), q, 0, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comBytes(got) != comBytes(want) {
-		t.Errorf("CODL QueryCtx differs:\n got %s\nwant %s", comBytes(got), comBytes(want))
-	}
-
-	codu := NewCODUWithTree(g, codl.Tree(), p)
-	wantU := codu.Query(q, graph.NewRand(7))
-	gotU, err := codu.QueryCtx(context.Background(), q, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comBytes(gotU) != comBytes(wantU) {
-		t.Errorf("CODU QueryCtx differs:\n got %s\nwant %s", comBytes(gotU), comBytes(wantU))
-	}
-
-	codr := NewCODR(g, p)
-	wantR, err := codr.Query(q, 0, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := codr.QueryCtx(context.Background(), q, 0, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comBytes(gotR) != comBytes(wantR) {
-		t.Errorf("CODR QueryCtx differs:\n got %s\nwant %s", comBytes(gotR), comBytes(wantR))
-	}
-}
-
 func TestQueryCtxCancellationIsFastAndTyped(t *testing.T) {
 	g, q := attrGraph(t, 3)
-	p := Params{K: 3, Theta: 10, Seed: 5}
-	codl, err := NewCODL(g, p)
+	eng, err := Build(context.Background(), g, Params{K: 3, Theta: 10, Seed: 5}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	_, err = codl.QueryCtx(ctx, q, 0, graph.NewRand(7))
-	if err == nil {
-		t.Fatal("canceled query returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not unwrap to context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("canceled query took %v", elapsed)
-	}
-
-	codr := NewCODR(g, p)
-	if _, err := codr.QueryCtx(ctx, q, 0, graph.NewRand(7)); !errors.Is(err, context.Canceled) {
-		t.Errorf("CODR canceled error = %v", err)
-	}
-	codu := NewCODUWithTree(g, codl.Tree(), p)
-	if _, err := codu.QueryCtx(ctx, q, graph.NewRand(7)); !errors.Is(err, context.Canceled) {
-		t.Errorf("CODU canceled error = %v", err)
+	for _, v := range []Variant{VariantCODL, VariantCODR, VariantCODU} {
+		start := time.Now()
+		_, err := eng.Execute(ctx, eng.Compile(v, q, 0), graph.NewRand(7))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v canceled error = %v, want context.Canceled", v, err)
+		}
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("canceled %v query took %v", v, elapsed)
+		}
 	}
 	var ce *influence.CanceledError
-	if _, err := codu.QueryCtx(ctx, q, graph.NewRand(7)); !errors.As(err, &ce) {
+	if _, err := eng.Execute(ctx, eng.Compile(VariantCODU, q, 0), graph.NewRand(7)); !errors.As(err, &ce) {
 		t.Errorf("CODU canceled error %T carries no progress", err)
 	} else if ce.Total == 0 {
 		t.Error("CanceledError.Total missing")
 	}
 }
 
-func TestNewCODLCtxCancellation(t *testing.T) {
+func TestBuildCancellation(t *testing.T) {
 	g, _ := attrGraph(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewCODLCtx(ctx, g, Params{Theta: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := Build(ctx, g, Params{Theta: 4}, Config{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled offline build error = %v", err)
 	}
 }

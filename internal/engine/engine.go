@@ -145,22 +145,21 @@ type treeKey struct {
 }
 
 // AttrTree returns the attribute-weighted hierarchy for attr, reclustering
-// g_ℓ unless cached. The cached flag selects whether the per-attribute
-// cache is consulted and populated; a bypassing call always reclusters.
-// Canceled builds are never cached.
-func (e *Engine) AttrTree(ctx context.Context, attr graph.AttrID, cached bool) (*hier.Tree, error) {
-	return e.predTree(ctx, attr, nil, cached, nil)
+// g_ℓ unless Config.CacheAttrTrees keeps it resident. Canceled builds are
+// never cached.
+func (e *Engine) AttrTree(ctx context.Context, attr graph.AttrID) (*hier.Tree, error) {
+	return e.predTree(ctx, attr, nil, nil)
 }
 
-// predTree is AttrTree generalized to compound predicates: with pred nil the
-// weighting is the legacy single-attribute one; otherwise edges whose
-// endpoints both satisfy pred are boosted. sc (optional) lends its mask
-// buffer to the predicate evaluation.
-func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DNF, cached bool, sc *queryScratch) (*hier.Tree, error) {
+// predTree is AttrTree generalized to compound predicates: edges whose
+// endpoints both satisfy the plan's predicate (attr when pred is nil) are
+// boosted. sc (optional) lends its mask buffer to the predicate evaluation.
+func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DNF, sc *queryScratch) (*hier.Tree, error) {
 	key := treeKey{attr: attr}
 	if pred != nil {
 		key = treeKey{attr: -1, hash: pred.Hash64()}
 	}
+	cached := e.cfg.CacheAttrTrees
 	if cached {
 		e.attrMu.Lock()
 		t, ok := e.attrTrees[key]
@@ -169,12 +168,7 @@ func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DN
 			return t, nil
 		}
 	}
-	var gl *graph.Graph
-	if pred != nil {
-		gl = core.PredWeighted(e.g, e.predMask(sc, pred), e.p.Beta)
-	} else {
-		gl = core.AttributeWeighted(e.g, attr, e.p.Beta)
-	}
+	gl := core.PredWeighted(e.g, e.planMask(sc, attr, pred), e.p.Beta)
 	t, err := hac.ClusterCtx(ctx, gl, e.p.Linkage)
 	if err != nil {
 		return nil, err
@@ -182,7 +176,7 @@ func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DN
 	if cached {
 		e.attrMu.Lock()
 		// A concurrent builder may have won the race; keep the first tree so
-		// repeated Hierarchy calls observe one stable pointer.
+		// repeated AttrTree calls observe one stable pointer.
 		if prev, ok := e.attrTrees[key]; ok {
 			t = prev
 		} else {

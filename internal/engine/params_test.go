@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -40,68 +41,45 @@ func TestParamsDefaults(t *testing.T) {
 	}
 }
 
-func TestCODUQuery(t *testing.T) {
-	g, q := attrGraph(t, 1)
-	codu, err := NewCODU(g, Params{K: 5, Theta: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	com := codu.Query(q, graph.NewRand(2))
-	if com.Found && com.Size() == 0 {
-		t.Error("found community with no nodes")
-	}
-	if com.Found && !containsNode(com.Nodes, q) {
-		t.Error("community must contain the query node")
-	}
-	if codu.Tree() == nil {
-		t.Error("Tree accessor nil")
-	}
-}
-
-func TestCODRQuery(t *testing.T) {
-	g, q := attrGraph(t, 3)
-	codr := NewCODR(g, Params{K: 5, Theta: 5})
-	com, err := codr.Query(q, 0, graph.NewRand(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if com.Found && !containsNode(com.Nodes, q) {
-		t.Error("community must contain the query node")
-	}
-}
-
+// TestCODRHierarchyCache: with Config.CacheAttrTrees every AttrTree call
+// returns the first tree built; without it every call reclusters.
 func TestCODRHierarchyCache(t *testing.T) {
 	g, _ := attrGraph(t, 5)
-	codr := NewCODR(g, Params{})
-	codr.CacheHierarchies = true
-	t1, err := codr.Hierarchy(0)
+	ctx := context.Background()
+	cached := New(g, nil, nil, Params{}, Config{CacheAttrTrees: true})
+	t1, err := cached.AttrTree(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := codr.Hierarchy(0)
+	t2, err := cached.AttrTree(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 != t2 {
 		t.Error("cache did not return the same hierarchy")
 	}
-	codr.CacheHierarchies = false
-	t3, err := codr.Hierarchy(0)
+	uncached := New(g, nil, nil, Params{}, Config{})
+	t3, err := uncached.AttrTree(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t3 == t1 {
-		t.Error("cache bypass returned cached tree")
+	t4, err := uncached.AttrTree(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t3 == t1 || t4 == t3 {
+		t.Error("an engine without the cache returned a cached tree")
 	}
 }
 
 func TestCODLQueryPaths(t *testing.T) {
 	g, q := attrGraph(t, 6)
-	codl, err := NewCODL(g, Params{K: 5, Theta: 5, Seed: 6})
+	ctx := context.Background()
+	eng, err := Build(ctx, g, Params{K: 5, Theta: 5, Seed: 6}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	com, err := codl.Query(q, 0, graph.NewRand(7))
+	com, err := eng.Execute(ctx, eng.Compile(VariantCODL, q, 0), graph.NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +87,7 @@ func TestCODLQueryPaths(t *testing.T) {
 		t.Error("community must contain q")
 	}
 	// With k = n the index path must trigger at the root immediately.
-	codlBig := NewCODLWithTree(g, codl.Tree(), codl.Index(), Params{K: g.N(), Theta: 5})
-	comBig, err := codlBig.Query(q, 0, graph.NewRand(8))
+	comBig, err := eng.Execute(ctx, eng.CompileSpec(Spec{Variant: VariantCODL, Q: q, K: g.N()}), graph.NewRand(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,48 +96,6 @@ func TestCODLQueryPaths(t *testing.T) {
 	}
 	if comBig.Size() != g.N() {
 		t.Errorf("k=n community size %d, want %d", comBig.Size(), g.N())
-	}
-}
-
-func TestCODLNoIndexAgreesQualitatively(t *testing.T) {
-	g, q := attrGraph(t, 9)
-	codl, err := NewCODL(g, Params{K: 5, Theta: 5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := codl.Query(q, 0, graph.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := codl.QueryNoIndex(q, 0, graph.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both use the same chain family; sampling differs, so require only
-	// agreement on "found" and containment of q.
-	if with.Found != without.Found && with.Found == false {
-		t.Logf("note: index path not found but CODL⁻ found (sampling noise)")
-	}
-	if without.Found && !containsNode(without.Nodes, q) {
-		t.Error("CODL⁻ community must contain q")
-	}
-}
-
-func TestMergedChainFor(t *testing.T) {
-	g, q := attrGraph(t, 12)
-	codl, err := NewCODL(g, Params{Theta: 3, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := codl.MergedChainFor(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.Validate(); err != nil {
-		t.Errorf("merged chain invalid: %v", err)
-	}
-	if ch.Size(ch.Len()-1) != g.N() {
-		t.Error("merged chain must end at the whole graph")
 	}
 }
 

@@ -47,8 +47,9 @@ func (v Variant) String() string {
 type StepKind int
 
 const (
-	// StepWeight derives the attribute weighting: a LORE local recluster or
-	// a global recluster of g_ℓ, per the step's WeightMode.
+	// StepWeight derives the attribute weighting from the plan's predicate
+	// mask: a LORE local recluster or a global recluster of g_ℓ, per the
+	// step's WeightMode.
 	StepWeight StepKind = iota
 	// StepIndexProbe scans the HIMOR index top-down over C_ℓ's ancestors;
 	// a hit answers the query without evaluation.
@@ -153,10 +154,7 @@ type Plan struct {
 	// Adaptive overrides the engine's adaptive configuration for this plan;
 	// nil inherits the engine config.
 	Adaptive *Adaptive
-	// CacheAttrTree lets a CODR plan reuse the per-attribute reclustered
-	// hierarchy across queries (deterministic either way).
-	CacheAttrTree bool
-	Steps         []Step
+	Steps    []Step
 }
 
 // Spec is a typed query for CompileSpec: the variant and query node plus the
@@ -213,8 +211,7 @@ var planSteps = map[Variant][]Step{
 	},
 }
 
-// Compile lowers a query onto the variant's stage list. CODR plans inherit
-// the engine's attribute-tree caching configuration.
+// Compile lowers a single-attribute query onto the variant's stage list.
 func (e *Engine) Compile(v Variant, q graph.NodeID, attr graph.AttrID) *Plan {
 	return e.CompileSpec(Spec{Variant: v, Q: q, Attr: attr})
 }
@@ -236,9 +233,7 @@ func (e *Engine) CompileSpec(sp Spec) *Plan {
 		k = e.p.K
 	}
 	pl := &Plan{Variant: sp.Variant, Q: sp.Q, Attr: attr, Pred: pred,
-		Filters: sp.Filters, K: k, Adaptive: sp.Adaptive,
-		CacheAttrTree: sp.Variant == VariantCODR && e.cfg.CacheAttrTrees,
-		Steps:         planSteps[sp.Variant]}
+		Filters: sp.Filters, K: k, Adaptive: sp.Adaptive, Steps: planSteps[sp.Variant]}
 	if len(pl.Filters) > 0 {
 		steps := make([]Step, 0, len(pl.Steps)+1)
 		for _, st := range pl.Steps {
@@ -336,7 +331,7 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 	switch step.Kind {
 	case StepWeight:
 		if step.Weight == WeightGlobal {
-			t, err := e.predTree(ctx, pl.Attr, pl.Pred, pl.CacheAttrTree, sc)
+			t, err := e.predTree(ctx, pl.Attr, pl.Pred, sc)
 			if err != nil {
 				return Community{}, errOutcome(err), false, err
 			}
@@ -346,20 +341,15 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 			}
 			return Community{}, "global", false, nil
 		}
-		if pl.Pred != nil {
-			in := e.predMask(sc, pl.Pred)
-			rec, err := core.LorePredCtx(ctx, e.g, e.tree, pl.Q, in, e.p.Beta, e.p.Linkage)
-			if err != nil {
-				return Community{}, errOutcome(err), false, err
-			}
-			st.rec = rec
-			return Community{}, "predicate", false, nil
-		}
-		rec, err := core.LoreCtx(ctx, e.g, e.tree, pl.Q, pl.Attr, e.p.Beta, e.p.Linkage)
+		in := e.planMask(sc, pl.Attr, pl.Pred)
+		rec, err := core.LorePredCtx(ctx, e.g, e.tree, pl.Q, in, e.p.Beta, e.p.Linkage)
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
 		st.rec = rec
+		if pl.Pred != nil {
+			return Community{}, "predicate", false, nil
+		}
 		return Community{}, "lore", false, nil
 
 	case StepIndexProbe:
@@ -531,16 +521,20 @@ func communityFromChain(ch *core.Chain, res core.EvalResult) Community {
 	return com
 }
 
-// predMask evaluates the predicate over every node into the scratch's mask
-// (or a fresh slice when sc is nil). Consumers must finish with the mask
-// before the scratch's member mask is next taken — both share storage.
-func (e *Engine) predMask(sc *queryScratch, d *query.DNF) []bool {
+// planMask evaluates the plan's predicate over every node into the
+// scratch's mask (or a fresh slice when sc is nil): HasAttr(v, attr) for a
+// single-attribute plan, the normalized predicate otherwise. Consumers must
+// finish with the mask before the scratch's member mask is next taken —
+// both share storage.
+func (e *Engine) planMask(sc *queryScratch, attr graph.AttrID, d *query.DNF) []bool {
 	var in []bool
 	if sc != nil {
-		clear(sc.mask)
 		in = sc.mask
 	} else {
 		in = make([]bool, e.g.N())
+	}
+	if d == nil {
+		return core.AttrMask(in, e.g, attr)
 	}
 	var node graph.NodeID
 	has := func(a graph.AttrID) bool { return e.g.HasAttr(node, a) }

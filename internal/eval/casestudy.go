@@ -33,12 +33,11 @@ func RunCaseStudy(cfg Config, maxCases int) ([]CaseStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	lc := newLoreCache(e)
 	acsIdx := acs.NewIndex(e.g)
 	rankRng := e.rng(0x9999)
 
 	build := func(q dataset.Query, requireATC bool) (CaseStudy, bool, error) {
-		codlAns, err := codlAnswer(e, lc, q, []int{1}, 0xaaaa)
+		codlAns, err := codlAnswer(e, q, []int{1}, 0xaaaa)
 		if err != nil {
 			return CaseStudy{}, false, err
 		}

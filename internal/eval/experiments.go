@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/dataset"
+	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
@@ -95,24 +97,23 @@ func (e *env) sharedPool(salt uint64) []*influence.RRGraph {
 	return s.Batch(e.cfg.Theta * e.g.N())
 }
 
-// loreCache runs LORE for one query against the non-attributed tree. (The
-// attribute weighting is applied to C_ℓ's induced subgraph inside Lore, so
-// no per-attribute caching is needed anymore; the type remains as the
-// harness's seam for LORE invocations.)
-type loreCache struct {
-	e *env
+// attrTrees returns an engine that reclusters the attribute-weighted graph
+// g_ℓ once per attribute and keeps each tree resident (CODR's hierarchies).
+func (e *env) attrTrees() *engine.Engine {
+	return engine.New(e.g, nil, nil, engine.Params{Beta: e.cfg.Beta, Linkage: e.cfg.Linkage},
+		engine.Config{CacheAttrTrees: true})
 }
 
-func newLoreCache(e *env) *loreCache { return &loreCache{e: e} }
-
-func (lc *loreCache) run(q dataset.Query) (*core.Reclustering, error) {
-	return core.Lore(lc.e.g, lc.e.tree, q.Node, q.Attr, lc.e.cfg.Beta, lc.e.cfg.Linkage)
+// lore runs LORE (Algorithm 2) for one query against the non-attributed
+// tree.
+func (e *env) lore(q dataset.Query) (*core.Reclustering, error) {
+	return core.LoreCtx(context.Background(), e.g, e.tree, q.Node, q.Attr, e.cfg.Beta, e.cfg.Linkage)
 }
 
 // codlAnswer evaluates Algorithm 3 for one query and every k in ks, reusing
 // the LORE reclustering and one restricted sample pool across the ks.
-func codlAnswer(e *env, lc *loreCache, q dataset.Query, ks []int, salt uint64) (map[int][]graph.NodeID, error) {
-	rec, err := lc.run(q)
+func codlAnswer(e *env, q dataset.Query, ks []int, salt uint64) (map[int][]graph.NodeID, error) {
+	rec, err := e.lore(q)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,11 @@
 package eval
 
 import (
+	"context"
+
 	"github.com/codsearch/cod/internal/acs"
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/dataset"
-	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
 )
 
@@ -96,10 +97,9 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 	}
 
 	// --- CODR: recluster g_ℓ per attribute (cached), shared sample pool.
-	codr := engine.NewCODR(e.g, engine.Params{K: 5, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage})
-	codr.CacheHierarchies = true
+	codr := e.attrTrees()
 	for qi, q := range e.queries {
-		t, err := codr.Hierarchy(q.Attr)
+		t, err := codr.AttrTree(context.Background(), q.Attr)
 		if err != nil {
 			return nil, err
 		}
@@ -114,9 +114,8 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 	}
 
 	// --- CODL: LORE + HIMOR (Algorithm 3) per query.
-	lc := newLoreCache(e)
 	for qi, q := range e.queries {
-		got, err := codlAnswer(e, lc, q, cfg.Ks, 0x3333)
+		got, err := codlAnswer(e, q, cfg.Ks, 0x3333)
 		if err != nil {
 			return nil, err
 		}
@@ -169,17 +168,15 @@ func RunFiveDeepest(cfg Config) (*Fig4Result, error) {
 	}
 
 	var uSums, rSums, lSums [5]float64
-	codr := engine.NewCODR(e.g, engine.Params{Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage})
-	codr.CacheHierarchies = true
-	lc := newLoreCache(e)
+	codr := e.attrTrees()
 	for _, q := range e.queries {
 		addChain(&uSums, core.ChainFromTree(e.tree, q.Node))
-		t, err := codr.Hierarchy(q.Attr)
+		t, err := codr.AttrTree(context.Background(), q.Attr)
 		if err != nil {
 			return nil, err
 		}
 		addChain(&rSums, core.ChainFromTree(t, q.Node))
-		rec, err := lc.run(q)
+		rec, err := e.lore(q)
 		if err != nil {
 			return nil, err
 		}
@@ -216,10 +213,9 @@ func RunNetworkStats(cfg Config) (*HierarchyStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	lc := newLoreCache(e)
 	var sum float64
 	for _, q := range e.queries {
-		rec, err := lc.run(q)
+		rec, err := e.lore(q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,10 @@
 package eval
 
 import (
+	"context"
 	"time"
 
 	"github.com/codsearch/cod/internal/core"
-	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/influence"
 )
 
@@ -46,8 +46,7 @@ func RunCompressedVsIndependent(cfg Config, k int, budget int) ([]Fig8Row, error
 	if err != nil {
 		return nil, err
 	}
-	codr := engine.NewCODR(e.g, engine.Params{K: k, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage})
-	codr.CacheHierarchies = true
+	codr := e.attrTrees()
 
 	var rows []Fig8Row
 	for _, theta := range cfg.Thetas {
@@ -55,7 +54,7 @@ func RunCompressedVsIndependent(cfg Config, k int, budget int) ([]Fig8Row, error
 		ind := Fig8Row{Dataset: cfg.Dataset, Theta: theta, Method: IndependentMethod, MinSize: 1 << 30}
 		precRng := e.rng(uint64(theta) * 7919)
 		for qi, q := range e.queries {
-			t, err := codr.Hierarchy(q.Attr)
+			t, err := codr.AttrTree(context.Background(), q.Attr)
 			if err != nil {
 				return nil, err
 			}

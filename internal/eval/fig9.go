@@ -1,11 +1,10 @@
 package eval
 
 import (
-	"math/rand/v2"
+	"context"
 	"time"
 
 	"github.com/codsearch/cod/internal/core"
-	"github.com/codsearch/cod/internal/dataset"
 	"github.com/codsearch/cod/internal/engine"
 )
 
@@ -40,12 +39,11 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 		return nil, err
 	}
 	params := engine.Params{K: k, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage, Seed: cfg.Seed}
-	codl := engine.NewCODLWithTree(e.g, e.tree, e.index, params)
-	codr := engine.NewCODR(e.g, params)
-	codr.CacheHierarchies = false // CODR pays the reclustering on every query
+	// One engine runs all three methods. Its attribute-tree cache is off, so
+	// CODR pays the global recluster on every query.
+	eng := engine.New(e.g, e.tree, e.index, params, engine.Config{})
 
-	type queryFn func(q dataset.Query, rng *rand.Rand) error
-	run := func(method string, fn queryFn) Fig9Row {
+	run := func(method string, v engine.Variant) Fig9Row {
 		row := Fig9Row{Dataset: cfg.Dataset, Method: method}
 		start := time.Now()
 		for qi, q := range e.queries {
@@ -53,7 +51,8 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 				row.TimedOut = true
 				break
 			}
-			if err := fn(q, e.rng(uint64(qi)*31+uint64(len(method)))); err == nil {
+			rng := e.rng(uint64(qi)*31 + uint64(len(method)))
+			if _, err := eng.Execute(context.Background(), eng.Compile(v, q.Node, q.Attr), rng); err == nil {
 				row.Queries++
 			}
 		}
@@ -63,21 +62,11 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 		return row
 	}
 
-	rows := []Fig9Row{
-		run(MethodCODL, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codl.Query(q.Node, q.Attr, rng)
-			return err
-		}),
-		run(MethodCODLMinus, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codl.QueryNoIndex(q.Node, q.Attr, rng)
-			return err
-		}),
-		run(MethodCODR, func(q dataset.Query, rng *rand.Rand) error {
-			_, err := codr.Query(q.Node, q.Attr, rng)
-			return err
-		}),
-	}
-	return rows, nil
+	return []Fig9Row{
+		run(MethodCODL, engine.VariantCODL),
+		run(MethodCODLMinus, engine.VariantCODLNoIndex),
+		run(MethodCODR, engine.VariantCODR),
+	}, nil
 }
 
 // TableIIRow reports the HIMOR construction overhead for one dataset.

@@ -1,6 +1,7 @@
 package hin
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/codsearch/cod/internal/engine"
@@ -15,7 +16,7 @@ type Searcher struct {
 	h    *HeteroGraph
 	path MetaPath
 	proj *Projection
-	codl *engine.CODL
+	eng  *engine.Engine
 	seq  uint64
 	seed uint64
 }
@@ -26,11 +27,11 @@ func NewSearcher(h *HeteroGraph, m MetaPath, params engine.Params, maxExpansion 
 	if err != nil {
 		return nil, err
 	}
-	codl, err := engine.NewCODL(proj.G, params)
+	eng, err := engine.Build(context.Background(), proj.G, params, engine.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return &Searcher{h: h, path: m, proj: proj, codl: codl, seed: params.Seed}, nil
+	return &Searcher{h: h, path: m, proj: proj, eng: eng, seed: params.Seed}, nil
 }
 
 // Projection exposes the homogeneous projection for inspection.
@@ -59,7 +60,7 @@ func (s *Searcher) Discover(q graph.NodeID, attr graph.AttrID) (Community, error
 	}
 	rng := graph.NewRand(graph.ItemSeed(s.seed, int(s.seq)))
 	s.seq++
-	com, err := s.codl.Query(lq, attr, rng)
+	com, err := s.eng.Execute(context.Background(), s.eng.Compile(engine.VariantCODL, lq, attr), rng)
 	if err != nil {
 		return Community{}, err
 	}
