@@ -7,6 +7,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/codsearch/cod/internal/graph"
 )
@@ -264,7 +265,7 @@ func (t *Tree) Members(v Vertex) []graph.NodeID {
 		}
 		stack = append(stack, t.children[x]...)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -297,13 +298,4 @@ func (t *Tree) SumLeafDepths() int64 {
 		s += int64(t.depth[v])
 	}
 	return s
-}
-
-func sortNodeIDs(s []graph.NodeID) {
-	// small helper to avoid importing slices for one call site
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
