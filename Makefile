@@ -7,7 +7,7 @@ CODVET  := $(BIN)/codvet
 PKGS    := ./...
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint vet codvet codvet-path codvet-self fmt fmt-check bench bench-check cover-check fuzz serve-smoke check clean
+.PHONY: all build test race lint vet codvet codvet-path codvet-self fmt fmt-check bench cover-check fuzz serve-smoke perfbench-smoke check clean
 
 all: build
 
@@ -59,12 +59,6 @@ lint: fmt-check vet $(CODVET)
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# One pass over the Fig benchmarks into a machine-readable JSON report,
-# validated by codbench -check-bench. Fails loudly when the bench pipeline
-# stops producing parseable output; no performance thresholds.
-bench-check:
-	sh scripts/bench_check.sh
-
 # Per-package coverage floors for the statistical packages (accuracy
 # harness, influence sampling); no global gate.
 cover-check:
@@ -83,6 +77,18 @@ fuzz:
 # end: readiness split, query endpoints, JSON errors, SIGTERM drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# perfbench is its own module, so the root `go test ./...` skips it. Runs
+# its tests, then a one-second run of each BENCHMARK.json workload, failing
+# unless the result line reports "correct":true. At the default seed 1,
+# variants-cora also checks its answer digest against perfbench/digests.json.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	@for w in serve-cora variants-cora; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 1 | tail -n 1); \
+		echo "$$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w not correct"; exit 1;; esac; \
+	done
 
 check: build lint test race serve-smoke
 

@@ -10,14 +10,6 @@
 //	codbench -exp fig9 -datasets amazon,dblp -limit 5m
 //	codbench -exp table2 -datasets all
 //	codbench -exp scalability                  # CODL on livejournal
-//
-// Bench tooling (used by scripts/bench_check.sh):
-//
-//	go test -bench BenchmarkFig -benchtime=1x | codbench -parse-bench -bench-out BENCH_pr5.json
-//	codbench -check-bench BENCH_pr5.json      # validate a committed report
-//	codbench -check-bench BENCH_pr5.json -compare-bench BENCH_pr4.json
-//	                                          # also diff ns/op + allocs/op vs the
-//	                                          # baseline, failing on >25% regressions
 package main
 
 import (
@@ -47,14 +39,6 @@ func main() {
 		limit     = flag.Duration("limit", 15*time.Minute, "per-method time limit for fig9")
 		precision = flag.Int("precision", 1000, "ground-truth RR sets per community node")
 
-		parseBench   = flag.Bool("parse-bench", false, "read `go test -bench` output on stdin and emit a JSON report")
-		benchOut     = flag.String("bench-out", "", "path for the JSON report from -parse-bench (default stdout)")
-		checkBench   = flag.String("check-bench", "", "validate an existing JSON bench report and exit")
-		compareBench = flag.String("compare-bench", "",
-			"baseline JSON report to diff the -check-bench report against (ns/op + allocs/op, min of runs)")
-		compareThresh = flag.Float64("compare-threshold", 0.25,
-			"fractional regression vs -compare-bench that fails the diff (0.25 = +25%)")
-
 		accuracySweep = flag.Bool("accuracy", false,
 			"run the bounded-error accuracy sweep (internal/accuracy) over -datasets at several (ε, δ); fails if any observed error rate exceeds its δ")
 	)
@@ -66,32 +50,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *parseBench {
-		if err := writeBenchReport(os.Stdin, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "codbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *checkBench != "" {
-		if err := checkBenchReport(*checkBench); err != nil {
-			fmt.Fprintln(os.Stderr, "codbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: ok\n", *checkBench)
-		if *compareBench != "" {
-			if err := compareBenchReports(os.Stdout, *compareBench, *checkBench, *compareThresh); err != nil {
-				fmt.Fprintln(os.Stderr, "codbench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *compareBench != "" {
-		fmt.Fprintln(os.Stderr, "codbench: -compare-bench requires -check-bench (the report to compare)")
-		os.Exit(1)
 	}
 
 	if err := run(*exp, *datasets, *queries, *theta, *thetas, *k, *seed, *budget, *limit, *precision); err != nil {
