@@ -60,7 +60,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 		out[i].Query = q
 		if q.Expr == "" {
 			specs[i] = engine.Spec{Variant: engine.VariantCODL, Q: q.Node, Attr: q.Attr}
-			out[i].Err = s.validate(q.Node, q.Attr)
+			out[i].Err = s.g.validate(q.Node, q.Attr)
 			continue
 		}
 		pq, ok := prepared[q.Expr]
@@ -77,7 +77,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 			node = pq.node
 		}
 		specs[i] = pq.spec(node)
-		out[i].Err = s.validate(node, pq.attr)
+		out[i].Err = s.g.validate(node, pq.attr)
 	}
 	if workers <= 0 {
 		workers = len(queries)

@@ -78,29 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// writeEventText renders one event as a single log-style line.
-func writeEventText(w io.Writer, e *eventlog.Event) {
-	fmt.Fprintf(w, "%s %s trace=%s epoch=%d variant=%s pred=%s outcome=%s status=%d dur=%s",
-		e.Time.Format(time.RFC3339Nano), e.Op, e.TraceID, e.Epoch,
-		e.VariantKey(), e.PredKey(), e.Outcome, e.Status, e.Dur())
-	if e.Expr != "" {
-		fmt.Fprintf(w, " expr=%q", e.Expr)
-	}
-	if e.Cache != "" {
-		fmt.Fprintf(w, " cache=%s", e.Cache)
-	}
-	if a := e.Adaptive; a != nil {
-		fmt.Fprintf(w, " adaptive_stages=%d adaptive_gap=%.4f adaptive_early_stop=%t", a.Stages, a.Gap, a.EarlyStop)
-	}
-	if res := e.Result; res != nil {
-		fmt.Fprintf(w, " found=%t size=%d nodes_fnv=%s", res.Found, res.Size, res.NodesFNV)
-	}
-	if e.Err != "" {
-		fmt.Fprintf(w, " err=%q", e.Err)
-	}
-	fmt.Fprintln(w)
-}
-
 // runTail prints the log's events in write order; -n keeps only the last N,
 // and -f then follows the log for new events until interrupted.
 func runTail(ctx context.Context, dir string, args []string, out io.Writer) error {
@@ -114,7 +91,7 @@ func runTail(ctx context.Context, dir string, args []string, out io.Writer) erro
 	}
 	if *follow {
 		return eventlog.Follow(ctx, dir, *poll, func(e *eventlog.Event) error {
-			writeEventText(out, e)
+			fmt.Fprintln(out, e.Summary())
 			return nil
 		})
 	}
@@ -130,7 +107,7 @@ func runTail(ctx context.Context, dir string, args []string, out io.Writer) erro
 		return err
 	}
 	for _, e := range kept {
-		writeEventText(out, e)
+		fmt.Fprintln(out, e.Summary())
 	}
 	if st.Torn > 0 || st.Corrupt > 0 {
 		fmt.Fprintf(out, "# skipped: %d torn, %d corrupt line(s)\n", st.Torn, st.Corrupt)
@@ -290,8 +267,9 @@ func findEvents(dir, id string) ([]*eventlog.Event, error) {
 	return prefix, nil
 }
 
-// runGrep dumps the events matching a trace ID (or unique prefix): the
-// "find this query" primitive an exemplar or a flight record points at.
+// runGrep dumps the events matching a trace ID (or unique prefix), each with
+// its plan steps and their stage spans: the "find this query" primitive an
+// exemplar or a flight record points at.
 func runGrep(dir string, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("codlog grep", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -317,14 +295,7 @@ func runGrep(dir string, args []string, out io.Writer) error {
 			}
 			continue
 		}
-		writeEventText(out, e)
-		for _, st := range e.Steps {
-			fmt.Fprintf(out, "  step %s/%s outcome=%s dur=%s", st.Variant, st.Kind, st.Outcome, time.Duration(st.DurNS))
-			if st.Stages > 0 {
-				fmt.Fprintf(out, " stages=%d gap=%.4f", st.Stages, st.Gap)
-			}
-			fmt.Fprintln(out)
-		}
+		e.WriteText(out)
 	}
 	return nil
 }

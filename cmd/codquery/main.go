@@ -25,6 +25,7 @@ import (
 
 	"github.com/codsearch/cod"
 	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 func main() {
@@ -240,11 +241,18 @@ func run(ctx context.Context, o runOpts) error {
 	elapsed := time.Since(start)
 	if o.trace && tr != nil {
 		fmt.Fprintln(out, "query trace:")
-		detail := fmt.Sprintf("q=%d attr=%d", node, attr)
-		if expr != "" {
-			detail = fmt.Sprintf("q=%d expr=%s", node, expr)
+		ev := eventlog.New(tr, "codquery", start, elapsed, 0)
+		ev.Expr, ev.Node = expr, int64(node)
+		if expr == "" && method != "codu" {
+			ev.Attr, ev.Pred = int64(attr), "attr:"+strconv.Itoa(attr)
 		}
-		obs.NewQueryRecord(tr, method, detail, 0, start, elapsed, err).WriteText(out)
+		if err != nil {
+			ev.Err, ev.Outcome = err.Error(), eventlog.OutcomeError
+			if ctx.Err() != nil {
+				ev.Outcome = eventlog.OutcomeCanceled
+			}
+		}
+		ev.WriteText(out)
 		if a := adaptiveStats(tr, qm); a != nil {
 			fmt.Fprintf(out, "adaptive: stages=%d realized_eps=%.4f early_stop=%t samples=%d/%d",
 				a.Stages, a.Gap, a.EarlyStop, a.SamplesUsed, a.SamplesBudget)

@@ -26,11 +26,11 @@ func TestQueryEventPipeline(t *testing.T) {
 	t.Cleanup(srv.Close)
 	q, attr := attributedQuery(t, g)
 
-	// One expression-mode query and one legacy knob query.
+	// One attributed expression query and one CODU expression query.
 	expr := attr + " and node=" + q
 	var disc discoverResponse
 	getJSON(t, srv.URL+"/discover?q="+url.QueryEscape(expr), http.StatusOK, &disc)
-	getJSON(t, srv.URL+"/discover?q="+q+"&attr="+attr+"&method=codu", http.StatusOK, &disc)
+	getJSON(t, srv.URL+exprPath("node="+q+" and variant=codu"), http.StatusOK, &disc)
 
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestQueryEventPipeline(t *testing.T) {
 		t.Errorf("event result = %+v, want a 16-hex community fingerprint", ev.Result)
 	}
 	if events[1].Variant != "CODU" || events[1].Pred != "none" {
-		t.Errorf("legacy codu event = variant %q pred %q, want CODU/none", events[1].Variant, events[1].Pred)
+		t.Errorf("codu event = variant %q pred %q, want CODU/none", events[1].Variant, events[1].Pred)
 	}
 
 	// The streaming aggregator digests the same events.

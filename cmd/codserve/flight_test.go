@@ -1,16 +1,19 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/codsearch/cod"
-	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 // attributedQuery returns the first attributed node and its first attribute
@@ -27,9 +30,9 @@ func attributedQuery(t *testing.T, g *cod.Graph) (q, attr string) {
 }
 
 type debugQueriesResponse struct {
-	SlowAfter string             `json:"slow_after"`
-	Recent    []*obs.QueryRecord `json:"recent"`
-	Slow      []*obs.QueryRecord `json:"slow"`
+	SlowAfter string            `json:"slow_after"`
+	Recent    []*eventlog.Event `json:"recent"`
+	Slow      []*eventlog.Event `json:"slow"`
 }
 
 func TestDebugQueriesRecordsTrace(t *testing.T) {
@@ -169,5 +172,92 @@ func TestDebugQueriesEmptyIsValidJSON(t *testing.T) {
 	if len(body.Recent) != 0 || len(body.Slow) != 0 {
 		t.Errorf("fresh handler reports %d recent / %d slow, want 0/0",
 			len(body.Recent), len(body.Slow))
+	}
+}
+
+// TestQueryEventSharedAcrossReaders serves /discover while /debug/queries
+// (JSON and text) and /debug/querystats read the rings and the aggregator,
+// with the -query-log sink encoding the same events on its writer
+// goroutine. Every event has three readers on other goroutines, so under
+// -race this checks that nothing writes an event after it is handed off.
+func TestQueryEventSharedAcrossReaders(t *testing.T) {
+	prevLogger := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	t.Cleanup(func() { slog.SetDefault(prevLogger) })
+	dir := t.TempDir()
+	sink, err := eventlog.Open(eventlog.Options{Dir: dir, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 1ns threshold marks every query slow, so each event sits in both
+	// rings as well as in the sink's queue.
+	h, g := testHandler(t, Config{Events: sink, SlowQuery: time.Nanosecond})
+	q, attr := attributedQuery(t, g)
+
+	const workers, perWorker = 2, 20
+	var queries, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		queries.Add(1)
+		go func() {
+			defer queries.Done()
+			for i := 0; i < perWorker; i++ {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/discover?q="+q+"&attr="+attr, nil))
+				if rr.Code != http.StatusOK {
+					t.Errorf("discover status %d: %s", rr.Code, rr.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	for _, path := range []string{"/debug/queries", "/debug/queries?format=text", "/debug/querystats"} {
+		readers.Add(1)
+		go func(path string) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+				if rr.Code != http.StatusOK {
+					t.Errorf("GET %s status %d", path, rr.Code)
+					return
+				}
+			}
+		}(path)
+	}
+	queries.Wait()
+	close(done)
+	readers.Wait()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var body debugQueriesResponse
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/queries", nil))
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Recent) != workers*perWorker || len(body.Slow) != flightSlowN {
+		t.Errorf("rings hold %d recent / %d slow, want %d / %d",
+			len(body.Recent), len(body.Slow), workers*perWorker, flightSlowN)
+	}
+	logged := 0
+	if _, err := eventlog.Scan(dir, func(e *eventlog.Event) error {
+		logged++
+		if !e.Slow || len(e.Steps) == 0 {
+			t.Errorf("logged event %s: slow=%t with %d steps, want slow with steps", e.TraceID, e.Slow, len(e.Steps))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if logged != workers*perWorker {
+		t.Errorf("event log holds %d events, want %d", logged, workers*perWorker)
 	}
 }

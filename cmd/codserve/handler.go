@@ -33,9 +33,10 @@ type Config struct {
 	// (exposed again via Handler.Metrics so main can mount it on the debug
 	// listener too).
 	Metrics *obs.Registry
-	// SlowQuery is the latency at or above which a query is retained in the
-	// flight recorder's slow ring (errored and 5xx queries are retained
-	// regardless); <= 0 selects obs.DefaultSlowAfter.
+	// SlowQuery is the latency at or above which a query's event is marked
+	// slow: the flight recorder's slow ring retains it (errored and 5xx
+	// queries are retained regardless) and the event log keeps it whatever
+	// the sample rate; <= 0 selects eventlog.DefaultSlowAfter.
 	SlowQuery time.Duration
 	// Events is the durable query-event sink (-query-log); nil disables
 	// persistence. The in-process aggregator behind /debug/querystats and
@@ -47,8 +48,8 @@ const defaultMaxInFlight = 64
 
 // Flight-recorder ring sizes: enough recent traffic to see a pattern,
 // enough slow retention that a burst of fast queries can't flush the
-// interesting ones. Memory stays bounded: both rings hold immutable
-// snapshots detached from query scratch.
+// interesting ones. Memory stays bounded: both rings hold immutable events
+// detached from query scratch.
 const (
 	flightRecentN = 128
 	flightSlowN   = 32
@@ -117,17 +118,16 @@ type Handler struct {
 	swapRejected *obs.Counter
 	fetchRetries *obs.Counter
 
-	// flight retains recent and slow query traces for /debug/queries;
-	// traceSeq feeds fallback trace IDs for requests that never reached a
-	// seed draw (e.g. rejected by validation).
-	flight   *obs.FlightRecorder
+	// Every query event goes to three readers: flight retains recent and
+	// slow events for /debug/queries, agg digests them for
+	// /debug/querystats and the exemplar-carrying cod_query_event_seconds
+	// family, and events persists them to the durable log (nil when
+	// -query-log is off). traceSeq feeds fallback trace IDs for requests
+	// that never reached a seed draw (e.g. rejected by validation).
+	flight   *eventlog.FlightRecorder
+	agg      *eventlog.Aggregator
+	events   *eventlog.Sink
 	traceSeq atomic.Uint64
-
-	// agg digests every query event for /debug/querystats and the
-	// exemplar-carrying cod_query_event_seconds family; events persists the
-	// same events to the durable log (nil when -query-log is off).
-	agg    *eventlog.Aggregator
-	events *eventlog.Sink
 }
 
 // routeMethods drives the JSON 404/405 catch-all in ServeHTTP.
@@ -181,7 +181,7 @@ func NewHandler(s *cod.Searcher, cfg Config) *Handler {
 		swapRejected: reg.Counter("cod_index_swap_rejected_total", "Swap attempts rejected for naming a non-monotone (older) epoch."),
 		fetchRetries: reg.Counter("cod_index_fetch_retries_total", "Blobstore operations retried while fetching index artifacts."),
 
-		flight: obs.NewFlightRecorder(flightRecentN, flightSlowN, cfg.SlowQuery),
+		flight: eventlog.NewFlightRecorder(flightRecentN, flightSlowN, cfg.SlowQuery),
 		agg:    eventlog.NewAggregator(),
 		events: cfg.Events,
 	}
@@ -333,7 +333,7 @@ func (h *Handler) Metrics() *obs.Registry { return h.reg }
 
 // Flight exposes the flight recorder backing /debug/queries so main can
 // mount the same state on the debug listener.
-func (h *Handler) Flight() *obs.FlightRecorder { return h.flight }
+func (h *Handler) Flight() *eventlog.FlightRecorder { return h.flight }
 
 // QueryStats exposes the event aggregator backing /debug/querystats so main
 // can mount the same state on the debug listener.
@@ -421,17 +421,16 @@ func (h *Handler) guard(next func(http.ResponseWriter, *http.Request, *servingSt
 
 // instrument runs inside guard on every query route: it attaches a fresh
 // per-query Trace plus the shared pipeline metrics to the request context,
-// times the request into cod_query_seconds, files the finished trace with
-// the flight recorder, assembles the query's canonical wide event (digested
-// by the aggregator and, when -query-log is on, appended to the durable
-// log), and emits one structured log line carrying the trace ID and the
-// stage timings the pipelines recorded. The Trace is always flushed — a
-// canceled or timed-out query still logs the spans it finished.
+// times the request into cod_query_seconds, and builds the query's one wide
+// event, which the aggregator digests, the durable log appends (when
+// -query-log is on), the flight recorder retains, and the per-query log
+// line renders. The Trace is always flushed — a canceled or timed-out
+// query's event still carries the spans it finished.
 //
 // Trace-ID precedence: a well-formed W3C traceparent header wins (the trace
 // joins the caller's distributed trace); otherwise the library installs the
 // query's seed-derived ID; requests that never reach a seed draw (rejected
-// input) get a server-local fallback so every flight record is addressable.
+// input) get a server-local fallback so every event is addressable.
 func (h *Handler) instrument(next func(http.ResponseWriter, *http.Request, *servingState)) func(http.ResponseWriter, *http.Request, *servingState) {
 	return func(w http.ResponseWriter, r *http.Request, st *servingState) {
 		trace := obs.NewTrace()
@@ -457,40 +456,28 @@ func (h *Handler) instrument(next func(http.ResponseWriter, *http.Request, *serv
 		h.querySecs.Observe(d.Seconds())
 
 		// The wide event: everything the trace knows plus the serving
-		// context only this layer has (epoch, normalized expression,
-		// predicate key, result fingerprint).
+		// context only this layer has. Expression queries carry their
+		// normalized form — one spelling per semantic query — rather than
+		// whatever URL-escaped variant the caller sent; the raw query string
+		// rides along only when the query failed. The event is complete
+		// before it is handed off: its readers run on other goroutines.
 		ev := eventlog.New(trace, r.URL.Path, start, d, sw.status)
 		ev.Epoch = st.epoch
 		ev.Expr = note.expr
-		if note.pred != "" {
-			ev.Pred = note.pred
-		}
+		ev.Pred = note.pred
 		if note.variant != "" {
 			ev.Variant = note.variant
 		}
 		ev.Node, ev.Attr = note.node, note.attr
 		ev.Result = note.result
+		ev.Slow = d >= h.flight.SlowAfter()
+		if ev.Outcome != eventlog.OutcomeOK {
+			ev.Query = r.URL.RawQuery
+		}
 		h.agg.Observe(ev)
 		h.events.Record(ev)
-
-		// Expression queries carry their normalized form into the flight
-		// record and the structured log, so /debug/queries and the logs show
-		// the canonical query — one spelling per semantic query — rather than
-		// whatever URL-escaped variant the caller sent.
-		detail := r.URL.RawQuery
-		qr := obs.NewQueryRecord(trace, r.URL.Path, detail, sw.status, start, d, nil)
-		qr.Epoch = st.epoch
-		qr.Expr = note.expr
-		h.flight.Record(qr)
-		slog.Info("query",
-			"path", r.URL.Path,
-			"query", r.URL.RawQuery,
-			"expr", note.expr,
-			"status", sw.status,
-			"dur", d,
-			"trace_id", trace.ID(),
-			"stages", trace.String(),
-		)
+		h.flight.Record(ev)
+		slog.Info("query", "trace_id", ev.TraceID, "event", ev.Summary())
 	}
 }
 
@@ -602,67 +589,44 @@ type discoverResponse struct {
 }
 
 // discover answers GET /discover. The q parameter is dual-mode: an integer
-// runs the legacy single-attribute path (with attr= and method= parameters),
-// anything else is a URL-escaped query expression (predicate over attribute
-// names or ids, community filters, node=/k=/variant= knobs) prepared against
-// the serving epoch's graph. In expression mode the attr/method parameters
-// are ignored — the expression itself carries the variant — and the response
-// echoes the normalized expression, so semantically equal spellings answer
-// with one canonical form.
+// runs the single-attribute CODL query (with an optional attr=), anything
+// else is a URL-escaped query expression (predicate over attribute names or
+// ids, community filters, node=/k=/variant= knobs) prepared against the
+// serving epoch's graph. The expression mode echoes the normalized
+// expression, so semantically equal spellings answer with one canonical
+// form. The retired method= parameter is a 400 naming the expression that
+// replaces it, so no caller silently gets CODL where it asked for another
+// variant.
 func (h *Handler) discover(w http.ResponseWriter, r *http.Request, st *servingState) {
-	s := st.s
 	rawQ := r.URL.Query().Get("q")
 	if rawQ == "" {
 		httpError(w, http.StatusBadRequest, "missing parameter %q", "q")
 		return
 	}
-	if _, err := strconv.Atoi(rawQ); err != nil {
-		h.discoverExpr(w, r, st, rawQ)
+	if r.URL.Query().Has("method") {
+		httpError(w, http.StatusBadRequest,
+			"parameter \"method\" is retired; name the variant in a query expression instead, e.g. q=ATTR and node=N and variant=codr")
 		return
 	}
-	q, ok := intParam(w, r, "q")
-	if !ok {
+	q, err := strconv.Atoi(rawQ)
+	if err != nil {
+		h.discoverExpr(w, r, st, rawQ)
 		return
 	}
 	attr, ok := intParamDefault(w, r, "attr", 0)
 	if !ok {
 		return
 	}
-	method := r.URL.Query().Get("method")
-	if method == "" {
-		method = "codl"
-	}
-	switch method {
-	case "codl", "codu", "codr":
-	default:
-		httpError(w, http.StatusBadRequest, "unknown method %q (want codl, codu, or codr)", method)
-		return
-	}
-
-	ctx := r.Context()
-	note := noteFromContext(ctx)
-	note.node = int64(q)
-	var (
-		com cod.Community
-		err error
-	)
-	switch method {
-	case "codl":
-		note.variant, note.pred, note.attr = "CODL", "attr:"+strconv.Itoa(attr), int64(attr)
-		com, err = s.DiscoverCtx(ctx, cod.NodeID(q), cod.AttrID(attr))
-	case "codu":
-		note.variant, note.pred = "CODU", "none"
-		com, err = s.DiscoverUnattributedCtx(ctx, cod.NodeID(q))
-	case "codr":
-		note.variant, note.pred, note.attr = "CODR", "attr:"+strconv.Itoa(attr), int64(attr)
-		com, err = s.DiscoverGlobalCtx(ctx, cod.NodeID(q), cod.AttrID(attr))
-	}
+	note := noteFromContext(r.Context())
+	note.variant, note.pred = "CODL", "attr:"+strconv.Itoa(attr)
+	note.node, note.attr = int64(q), int64(attr)
+	com, err := st.s.DiscoverCtx(r.Context(), cod.NodeID(q), cod.AttrID(attr))
 	if err != nil {
 		queryError(w, err)
 		return
 	}
 	note.noteResult(com)
-	resp := discoverResponse{Query: q, Attr: attr, Method: method,
+	resp := discoverResponse{Query: q, Attr: attr, Method: "codl",
 		Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}
 	if com.Found {
 		resp.Size = com.Size()

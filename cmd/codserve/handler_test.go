@@ -36,6 +36,9 @@ func testServer(t *testing.T) (*httptest.Server, *cod.Graph) {
 	return srv, g
 }
 
+// exprPath is the /discover path answering a query expression.
+func exprPath(expr string) string { return "/discover?q=" + url.QueryEscape(expr) }
+
 func getJSON(t *testing.T, url string, wantStatus int, out any) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -122,11 +125,15 @@ func TestDiscoverEndpoint(t *testing.T) {
 			t.Error("community missing query node")
 		}
 	}
-	// other methods
-	for _, m := range []string{"codu", "codr"} {
-		getJSON(t, url+"&method="+m, http.StatusOK, &dr)
+	// The other variants are named in an expression.
+	qs, as := strconv.Itoa(int(q)), strconv.Itoa(int(attr))
+	for m, expr := range map[string]string{
+		"codu": "node=" + qs + " and variant=codu",
+		"codr": as + " and node=" + qs + " and variant=codr",
+	} {
+		getJSON(t, srv.URL+exprPath(expr), http.StatusOK, &dr)
 		if dr.Method != m {
-			t.Errorf("method echo = %q", dr.Method)
+			t.Errorf("method echo = %q, want %q", dr.Method, m)
 		}
 	}
 }
@@ -238,7 +245,24 @@ func TestDiscoverErrors(t *testing.T) {
 	getJSON(t, srv.URL+"/discover?q=abc", http.StatusBadRequest, nil)
 	getJSON(t, srv.URL+"/discover?q=999999", http.StatusBadRequest, nil)
 	getJSON(t, srv.URL+"/discover?q=0&attr=zz", http.StatusBadRequest, nil)
-	getJSON(t, srv.URL+"/discover?q=0&method=warp", http.StatusBadRequest, nil)
+
+	// The retired method= parameter is refused, never silently answered as
+	// CODL, and the error names the expression that replaces it.
+	for _, path := range []string{"/discover?q=0&method=codr", "/discover?q=0&method=", exprPath("0 and node=0") + "&method=codu"} {
+		getJSON(t, srv.URL+path, http.StatusBadRequest, nil)
+	}
+	resp, err := http.Get(srv.URL + "/discover?q=0&attr=1&method=codr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "and node=N and variant=codr") {
+		t.Errorf("method= rejection %q does not name the expression form", body.Error)
+	}
 }
 
 func TestInfluenceEndpoint(t *testing.T) {
@@ -424,8 +448,7 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	url := srv.URL + "/discover?q=" + strconv.Itoa(int(q)) + "&method=codr"
-	getJSON(t, url, http.StatusGatewayTimeout, nil)
+	getJSON(t, srv.URL+exprPath("0 and node="+strconv.Itoa(int(q))+" and variant=codr"), http.StatusGatewayTimeout, nil)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("504 took %v", elapsed)
 	}

@@ -13,10 +13,11 @@
 //	GET  /readyz                         -> 200 once the offline phase is done, else 503
 //	GET  /metrics                        -> Prometheus text metrics
 //	GET  /stats                          -> graph/index statistics
-//	GET  /discover?q=42&attr=1[&method=codl|codu|codr]
+//	GET  /discover?q=42&attr=1           -> CODL; other variants take an expression:
+//	GET  /discover?q=1%20and%20node%3D42%20and%20variant%3Dcodr
 //	GET  /influence?q=42
 //	POST /batch                          -> {"queries":[{"q":42,"attr":1},...]}
-//	GET  /debug/queries[?format=text]    -> recent + slow query traces (flight recorder)
+//	GET  /debug/queries[?format=text]    -> recent + slow query events (flight recorder)
 //	GET  /debug/querystats               -> streaming per-(variant, predicate, outcome) latency digests
 //
 // -query-log DIR appends one wide JSONL event per query to a size-rotated,
@@ -68,7 +69,7 @@ func main() {
 		grace         = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on shutdown")
 		debugAddr     = flag.String("debug-addr", "", "optional listen address for pprof + /metrics (off when empty)")
 		sampleCache   = flag.Int("sample-cache", 0, "per-attribute RR sample pools kept resident (0 = off); hits/misses on /metrics")
-		slowQuery     = flag.Duration("slow-query", obs.DefaultSlowAfter, "latency at which a query is retained in the /debug/queries slow ring")
+		slowQuery     = flag.Duration("slow-query", eventlog.DefaultSlowAfter, "latency at which a query is marked slow: kept in the /debug/queries slow ring and past -query-log-sample")
 		indexStore    = flag.String("index-store", "", "blob store root directory to serve published index epochs from (skips the local offline build)")
 		indexWatch    = flag.Duration("index-watch", 10*time.Second, "poll cadence for new index epochs in the store (0 = fetch once at startup)")
 		indexDataset  = flag.String("index-dataset", "", "dataset namespace within -index-store (defaults to -dataset)")
@@ -112,7 +113,6 @@ func main() {
 			Dir:          *queryLog,
 			MaxFileBytes: *queryLogBytes,
 			SampleRate:   *queryLogRate,
-			SlowAfter:    *slowQuery,
 		})
 		if err != nil {
 			log.Fatal("codserve: ", err)

@@ -83,8 +83,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Monotonicity across a second query.
-	getJSON(t, srv.URL+"/discover?q="+qs+"&method=codr", http.StatusOK, nil)
-	getJSON(t, srv.URL+"/discover?q="+qs+"&method=codu", http.StatusOK, nil)
+	getJSON(t, srv.URL+exprPath("0 and node="+qs+" and variant=codr"), http.StatusOK, nil)
+	getJSON(t, srv.URL+exprPath("node="+qs+" and variant=codu"), http.StatusOK, nil)
 	after2 := scrapeMetrics(t, srv.URL)
 	if got := after2["cod_queries_total"] - after1["cod_queries_total"]; got != 2 {
 		t.Errorf("two more queries moved cod_queries_total by %v, want 2", got)

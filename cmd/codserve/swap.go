@@ -11,6 +11,7 @@ import (
 	"github.com/codsearch/cod"
 	"github.com/codsearch/cod/internal/blobstore"
 	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 // Swapper keeps a serving replica converged on a blob store's current index
@@ -141,10 +142,11 @@ func (sw *Swapper) swapTo(ctx context.Context, cur blobstore.Current, served uin
 }
 
 // record files one swap attempt with the flight recorder, so /debug/queries
-// interleaves swaps with the queries that straddled them. The trace ID is a
-// pure function of (target epoch, attempt number) — deterministic, no clock
-// involved — and the op is "index_swap" with an outcome step naming the
-// stage that decided the attempt.
+// interleaves swaps with the queries that straddled them. The event's trace
+// ID is a pure function of (target epoch, attempt number) — deterministic,
+// no clock involved — its op is "index_swap", its epoch the target, and its
+// one step names the stage that decided the attempt. Swap events go only to
+// the flight recorder: they are not queries.
 func (sw *Swapper) record(outcome string, from, to uint64, err error) {
 	trace := obs.NewTrace()
 	trace.EnsureID(obs.SeedTraceID(to<<20 ^ sw.attempts.Add(1)))
@@ -155,7 +157,10 @@ func (sw *Swapper) record(outcome string, from, to uint64, err error) {
 	if err != nil {
 		status = 500
 	}
-	now := time.Now()
-	sw.H.flight.Record(obs.NewQueryRecord(trace, "index_swap",
-		sw.Dataset+" epoch "+strconv.FormatUint(to, 10), status, now, 0, err))
+	ev := eventlog.New(trace, "index_swap", time.Now(), 0, status)
+	ev.Epoch = to
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	sw.H.flight.Record(ev)
 }

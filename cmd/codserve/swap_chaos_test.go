@@ -31,7 +31,7 @@ import (
 //     for the epoch its X-Cod-Epoch header names)
 //   - epochs observed by one client are monotone non-decreasing
 //
-// Queries use method=codu with the sample cache on: pools derive from
+// Queries run CODU (variant=codu) with the sample cache on: pools derive from
 // (Seed, attr, engine-epoch) only, so answers within one epoch are
 // arrival-order invariant and byte-identity is assertable under load.
 // The fault schedules are pure functions of an operation counter, so every
@@ -161,7 +161,7 @@ func TestChaosSwapUnderLoad(t *testing.T) {
 		bodies := make(map[int][]byte, queryNodes)
 		for q := 0; q < queryNodes; q++ {
 			rr := httptest.NewRecorder()
-			refH.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/discover?q="+strconv.Itoa(q)+"&method=codu", nil))
+			refH.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, exprPath("node="+strconv.Itoa(q)+" and variant=codu"), nil))
 			if rr.Code != http.StatusOK {
 				t.Fatalf("reference query epoch %d q=%d: status %d", epoch, q, rr.Code)
 			}
@@ -205,7 +205,7 @@ func TestChaosSwapUnderLoad(t *testing.T) {
 				q := (w*queryNodes/workers + i) % queryNodes
 				rr := httptest.NewRecorder()
 				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet,
-					"/discover?q="+strconv.Itoa(q)+"&method=codu", nil))
+					exprPath("node="+strconv.Itoa(q)+" and variant=codu"), nil))
 				requests.Add(1)
 				if rr.Code != http.StatusOK {
 					fail("worker %d: status %d body %s", w, rr.Code, rr.Body.String())

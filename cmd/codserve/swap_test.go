@@ -106,7 +106,7 @@ func TestSwapperConvergesAndReportsReadyz(t *testing.T) {
 		t.Fatalf("epoch %d, want 2", h.Epoch())
 	}
 	qr := httptest.NewRecorder()
-	h.ServeHTTP(qr, httptest.NewRequest(http.MethodGet, "/discover?q=0&method=codu", nil))
+	h.ServeHTTP(qr, httptest.NewRequest(http.MethodGet, exprPath("node=0 and variant=codu"), nil))
 	if qr.Code != http.StatusOK || qr.Header().Get("X-Cod-Epoch") != "2" {
 		t.Fatalf("query after swap: status %d epoch header %q", qr.Code, qr.Header().Get("X-Cod-Epoch"))
 	}
@@ -192,7 +192,7 @@ func TestSwapperStaleOnFailureThenRecovers(t *testing.T) {
 	}
 	// Queries still answer from the serving epoch.
 	qr := httptest.NewRecorder()
-	h.ServeHTTP(qr, httptest.NewRequest(http.MethodGet, "/discover?q=0&method=codu", nil))
+	h.ServeHTTP(qr, httptest.NewRequest(http.MethodGet, exprPath("node=0 and variant=codu"), nil))
 	if qr.Code != http.StatusOK || qr.Header().Get("X-Cod-Epoch") != "1" {
 		t.Fatalf("query during outage: %d epoch %q", qr.Code, qr.Header().Get("X-Cod-Epoch"))
 	}

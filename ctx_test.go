@@ -91,7 +91,7 @@ func TestCanceledQueryFlushesPartialTrace(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("trace %q has no rr_sample span", tr.String())
+		t.Errorf("trace spans %+v have no rr_sample span", tr.Spans())
 	}
 	if got := m.QueriesCanceled.Value(); got != 1 {
 		t.Errorf("cod_queries_canceled_total = %d, want 1", got)

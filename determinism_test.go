@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/codsearch/cod/internal/obs"
+	"github.com/codsearch/cod/internal/obs/eventlog"
 )
 
 // This file is the determinism-replay suite: the same seeded workload must
@@ -210,9 +211,9 @@ func TestDiscoverBatchWithRecorderByteIdentical(t *testing.T) {
 }
 
 // TestDiscoverWithFlightRecorderByteIdentical extends the §11 lock to the
-// PR-5 observability surface: per-query traces (trace IDs, step spans) fed
-// into a FlightRecorder after every query must not change a single byte of
-// any result. Trace IDs are pure functions of the per-query seed, and the
+// flight recorder: per-query traces (trace IDs, step spans) built into
+// events and fed to a FlightRecorder after every query must not change a
+// single byte of any result. Trace IDs are pure functions of the per-query seed, and the
 // seed sequence advances identically with or without instrumentation.
 func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 	g := buildTestGraph(t)
@@ -230,7 +231,7 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flight := obs.NewFlightRecorder(len(queries), 4, obs.DefaultSlowAfter)
+	flight := eventlog.NewFlightRecorder(len(queries), 4, eventlog.DefaultSlowAfter)
 	var traceIDs []string
 	for _, q := range queries {
 		want, err1 := s1.Discover(q.Node, q.Attr)
@@ -239,7 +240,7 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 		tr := obs.NewTrace()
 		rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))
 		got, err2 := s2.DiscoverCtx(rctx, q.Node, q.Attr)
-		flight.Record(obs.NewQueryRecord(tr, "discover", "", 0, time.Now(), 0, err2))
+		flight.Record(eventlog.New(tr, "discover", time.Now(), 0, 0))
 
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %+v errored: %v / %v", q, err1, err2)
@@ -254,14 +255,14 @@ func TestDiscoverWithFlightRecorderByteIdentical(t *testing.T) {
 	// being seed-derived, must replay identically on a rebuilt searcher.
 	recent := flight.Recent()
 	if len(recent) != len(queries) {
-		t.Fatalf("flight recorder retained %d records, want %d", len(recent), len(queries))
+		t.Fatalf("flight recorder retained %d events, want %d", len(recent), len(queries))
 	}
-	for _, rec := range recent {
-		if len(rec.TraceID) != 32 {
-			t.Errorf("record %q has malformed trace ID %q", rec.Detail, rec.TraceID)
+	for _, ev := range recent {
+		if len(ev.TraceID) != 32 {
+			t.Errorf("event of seed %s has malformed trace ID %q", ev.Seed, ev.TraceID)
 		}
-		if len(rec.Steps) == 0 {
-			t.Errorf("record with trace %s carries no step spans", rec.TraceID)
+		if len(ev.Steps) == 0 {
+			t.Errorf("event with trace %s carries no step spans", ev.TraceID)
 		}
 	}
 	s3, err := NewSearcher(g, opts)
@@ -368,23 +369,22 @@ func TestAdaptiveEarlyStopInFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flight := obs.NewFlightRecorder(len(queries), 4, obs.DefaultSlowAfter)
+	flight := eventlog.NewFlightRecorder(len(queries), 4, eventlog.DefaultSlowAfter)
 	for _, q := range queries {
 		tr := obs.NewTrace()
 		rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))
-		_, err := s.DiscoverCtx(rctx, q.Node, q.Attr)
-		flight.Record(obs.NewQueryRecord(tr, "discover", "", 0, time.Now(), 0, err))
-		if err != nil {
+		if _, err := s.DiscoverCtx(rctx, q.Node, q.Attr); err != nil {
 			t.Fatal(err)
 		}
+		flight.Record(eventlog.New(tr, "discover", time.Now(), 0, 0))
 	}
 	stops := 0
-	for _, rec := range flight.Recent() {
-		for _, st := range rec.Steps {
+	for _, ev := range flight.Recent() {
+		for _, st := range ev.Steps {
 			if st.Kind == "sample" && st.Outcome == "early_stop" {
 				stops++
 				if st.Stages < 1 {
-					t.Errorf("trace %s: early_stop sample step records %d stages", rec.TraceID, st.Stages)
+					t.Errorf("trace %s: early_stop sample step records %d stages", ev.TraceID, st.Stages)
 				}
 			}
 		}

@@ -29,7 +29,10 @@ const (
 // rebuilds the influence index (see the paper's future-work discussion on
 // dynamic graphs). Not safe for concurrent use.
 type DynamicSearcher struct {
-	u    *dynamic.Updater
+	u *dynamic.Updater
+	// g validates query arguments: edge insertions keep its node and
+	// attribute ranges.
+	g    *Graph
 	opts Options
 	seq  uint64
 }
@@ -43,7 +46,7 @@ func NewDynamicSearcher(g *Graph, opts Options) (*DynamicSearcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicSearcher{u: u, opts: opts}, nil
+	return &DynamicSearcher{u: u, g: g, opts: opts}, nil
 }
 
 // AddEdge buffers an undirected edge insertion; it becomes visible to
@@ -67,14 +70,7 @@ func (d *DynamicSearcher) Discover(q NodeID, attr AttrID) (Community, error) {
 // its seed whether or not a Recorder is attached, so instrumented runs stay
 // byte-identical.
 func (d *DynamicSearcher) DiscoverCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
-	seed := graph.ItemSeed(d.opts.Seed, int(d.seq))
-	d.seq++
-	com, err := d.u.QueryCtx(ctx, q, attr, seed)
-	obs.FromContext(ctx).CountQuery(err)
-	if err != nil {
-		return Community{}, err
-	}
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex}, nil
+	return d.query(ctx, q, attr, d.u.QueryCtx)
 }
 
 // DiscoverGlobal answers a CODR-variant query (global recluster of the
@@ -87,14 +83,26 @@ func (d *DynamicSearcher) DiscoverGlobal(q NodeID, attr AttrID) (Community, erro
 // DiscoverGlobalCtx is DiscoverGlobal with cancellation and instrumentation
 // (see DiscoverCtx).
 func (d *DynamicSearcher) DiscoverGlobalCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
+	return d.query(ctx, q, attr, d.u.QueryGlobalCtx)
+}
+
+// query validates (q, attr) with Searcher's check before it draws the
+// query's seed, so a rejected query consumes none, then runs it.
+func (d *DynamicSearcher) query(ctx context.Context, q NodeID, attr AttrID,
+	run func(context.Context, NodeID, AttrID, uint64) (engine.Community, error)) (Community, error) {
+	rec := obs.FromContext(ctx)
+	if err := d.g.validate(q, attr); err != nil {
+		rec.CountQuery(err)
+		return Community{}, err
+	}
 	seed := graph.ItemSeed(d.opts.Seed, int(d.seq))
 	d.seq++
-	com, err := d.u.QueryGlobalCtx(ctx, q, attr, seed)
-	obs.FromContext(ctx).CountQuery(err)
+	com, err := run(ctx, q, attr, seed)
+	rec.CountQuery(err)
 	if err != nil {
 		return Community{}, err
 	}
-	return Community{Nodes: com.Nodes, Found: com.Found}, nil
+	return communityOf(com), nil
 }
 
 // N returns the current node count; M the current edge count (excluding

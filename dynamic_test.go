@@ -1,6 +1,10 @@
 package cod
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"testing"
+)
 
 func TestDynamicSearcher(t *testing.T) {
 	g := buildTestGraph(t)
@@ -56,5 +60,77 @@ func TestDynamicSearcher(t *testing.T) {
 	}
 	if err := d.Flush(FlushFull); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDynamicSearcherValidatesAndRanks locks DynamicSearcher to Searcher's
+// query contract: out-of-range arguments are a *RangeError (never a panic,
+// never a nil error), rejected queries draw no seed, and a found answer
+// carries the query's influence rank.
+func TestDynamicSearcherValidatesAndRanks(t *testing.T) {
+	g, err := GenerateDataset("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{K: 3, Theta: 4, Seed: 1}
+	d, err := NewDynamicSearcher(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, a := NodeID(g.N()), AttrID(g.NumAttrs())
+	for _, bad := range []struct{ q, attr int32 }{{-1, 0}, {n, 0}, {0, -1}, {0, a}} {
+		for name, run := range map[string]func(NodeID, AttrID) (Community, error){
+			"Discover": d.Discover, "DiscoverGlobal": d.DiscoverGlobal,
+		} {
+			var re *RangeError
+			if _, err := run(bad.q, bad.attr); !errors.As(err, &re) {
+				t.Errorf("%s(%d, %d): err = %v, want *RangeError", name, bad.q, bad.attr, err)
+			}
+		}
+	}
+
+	s, err := NewSearcher(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewDynamicSearcher(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := 0
+	for q := NodeID(0); q < n; q++ {
+		attrs := g.Attrs(q)
+		if len(attrs) == 0 {
+			continue
+		}
+		got, err := d.Discover(q, attrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The rejects above drew no seed: d stays in step with a fresh
+		// DynamicSearcher.
+		want, err := fresh.Discover(q, attrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("q=%d: %+v after rejected queries, %+v on a fresh searcher", q, got, want)
+		}
+		if got.Found && (got.Rank < 1 || got.Rank > opts.K) {
+			t.Errorf("q=%d: found answer has rank %d, want 1..%d", q, got.Rank, opts.K)
+		}
+		ref, err := s.Discover(q, attrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Nodes) == fmt.Sprint(ref.Nodes) && got.Rank != ref.Rank {
+			t.Errorf("q=%d: rank %d, Searcher ranks the same community %d", q, got.Rank, ref.Rank)
+		}
+		if got.Found {
+			ranked++
+		}
+	}
+	if ranked == 0 {
+		t.Fatal("no query found a community; the rank check checked nothing")
 	}
 }

@@ -290,11 +290,7 @@ func (a *Aggregator) WriteMetrics(w io.Writer) error {
 // ServeHTTP answers GET /debug/querystats with the JSON snapshot. Other
 // methods get the JSON 405 the rest of the serving surface uses.
 func (a *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		fmt.Fprintf(w, "{\"error\":\"method %s not allowed\"}\n", r.Method)
+	if !getOnly(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -141,23 +141,22 @@ func TestKeepTraceDeterministic(t *testing.T) {
 }
 
 func TestKeepHeadTailRule(t *testing.T) {
-	slow := 50 * time.Millisecond
 	errEvent := mkEvent(0)
 	errEvent.Outcome = OutcomeError
-	if !Keep(errEvent, 0, slow) {
+	if !Keep(errEvent, 0) {
 		t.Fatalf("error events must always be kept")
 	}
 	slowEvent := mkEvent(1)
-	slowEvent.DurNS = int64(slow)
-	if !Keep(slowEvent, 0, slow) {
+	slowEvent.Slow = true
+	if !Keep(slowEvent, 0) {
 		t.Fatalf("slow events must always be kept")
 	}
 	fastOK := mkEvent(2)
-	fastOK.DurNS = int64(time.Millisecond)
-	if Keep(fastOK, 0, slow) {
-		t.Fatalf("fast OK events must pass through the sampling gate")
+	fastOK.DurNS = int64(time.Second)
+	if Keep(fastOK, 0) {
+		t.Fatalf("OK events not marked slow must pass through the sampling gate, whatever their duration")
 	}
-	if !Keep(fastOK, 1, slow) {
+	if !Keep(fastOK, 1) {
 		t.Fatalf("rate 1 keeps everything")
 	}
 }

@@ -1,9 +1,6 @@
 package eventlog
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "hash/fnv"
 
 // KeepTrace reports whether a trace ID survives OK-event sampling at rate
 // (0 drops everything, 1 keeps everything). The decision is a pure function
@@ -22,16 +19,10 @@ func KeepTrace(traceID string, rate float64) bool {
 	return float64(h.Sum64())/(1<<64) < rate
 }
 
-// Keep is the head/tail sampling rule of the event log: slow events (at or
-// over slowAfter) and non-OK events are always kept — the tail an
-// investigation needs must never be sampled away — while OK events below the
-// threshold pass through the deterministic KeepTrace gate.
-func Keep(e *Event, rate float64, slowAfter time.Duration) bool {
-	if e.Outcome != OutcomeOK {
-		return true
-	}
-	if slowAfter > 0 && e.Dur() >= slowAfter {
-		return true
-	}
-	return KeepTrace(e.TraceID, rate)
+// Keep is the head/tail sampling rule of the event log: Slow events and
+// non-OK events are always kept — the tail an investigation needs must never
+// be sampled away — while the other OK events pass through the
+// deterministic KeepTrace gate.
+func Keep(e *Event, rate float64) bool {
+	return e.Outcome != OutcomeOK || e.Slow || KeepTrace(e.TraceID, rate)
 }

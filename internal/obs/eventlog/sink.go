@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/codsearch/cod/internal/obs"
 )
 
 // FileWriter is the sink's write target: an os.File in production, a
@@ -30,15 +27,11 @@ type Options struct {
 	// file to stable storage before the next one opens, so a crash can only
 	// tear the line most recently in flight.
 	MaxFileBytes int64
-	// SampleRate is the deterministic keep rate for OK events (slow and
+	// SampleRate is the deterministic keep rate for OK events (Slow and
 	// non-OK events are always kept); 1 keeps everything, 0 keeps only the
 	// always-kept tail. Callers pass the rate verbatim — there is no
 	// "unset" sentinel, so 0 means 0.
 	SampleRate float64
-	// SlowAfter is the latency at or above which an OK event bypasses
-	// sampling (<= 0 selects obs.DefaultSlowAfter), aligned with the flight
-	// recorder's slow classification.
-	SlowAfter time.Duration
 	// QueueSize bounds the buffered channel between Record and the writer
 	// goroutine (<= 0 selects 1024). A full queue drops the event and
 	// counts it — recording never blocks a query.
@@ -100,9 +93,6 @@ func Open(opts Options) (*Sink, error) {
 	if opts.MaxFileBytes <= 0 {
 		opts.MaxFileBytes = 64 << 20
 	}
-	if opts.SlowAfter <= 0 {
-		opts.SlowAfter = obs.DefaultSlowAfter
-	}
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 1024
 	}
@@ -155,7 +145,7 @@ func (s *Sink) Record(e *Event) {
 	if s == nil || e == nil {
 		return
 	}
-	if !Keep(e, s.opts.SampleRate, s.opts.SlowAfter) {
+	if !Keep(e, s.opts.SampleRate) {
 		s.sampledOut.Add(1)
 		return
 	}

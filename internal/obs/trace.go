@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -202,21 +200,4 @@ func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// String renders the trace as "stage=duration/items ..." in completion
-// order, the form the per-query log lines embed.
-func (t *Trace) String() string {
-	var b strings.Builder
-	for i, s := range t.Spans() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(s.Stage.String())
-		b.WriteByte('=')
-		b.WriteString(s.Duration.String())
-		b.WriteByte('/')
-		b.WriteString(strconv.FormatInt(s.Items, 10))
-	}
-	return b.String()
 }

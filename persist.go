@@ -28,9 +28,10 @@ import (
 //
 // The header carries the offline parameters the index was built with, so a
 // loading process cannot silently query an index built under different
-// semantics. Files beginning with the legacy hierarchy magic ("codtree1",
-// written by earlier releases) are still readable; they carry no parameters
-// or checksums, so they get none of v2's validation.
+// semantics. Any other format is rejected with ErrIndexVersion — including
+// the legacy hierarchy-only v1 stream ("codtree1"), which records no
+// parameters to check: one built with another θ, k or seed would load and
+// answer wrong.
 
 const indexMagic = "codindx2"
 
@@ -206,7 +207,6 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 // default-filling), sections must pass their checksums, and the hierarchy
 // must span exactly g's nodes; violations surface as ErrIndexParams,
 // ErrIndexChecksum / ErrIndexTruncated, and ErrIndexVersion sentinels.
-// Legacy v1 files (raw hierarchy + HIMOR blobs) load without validation.
 func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("cod: empty graph")
@@ -215,18 +215,9 @@ func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrIndexTruncated, err)
 	}
-	switch string(magic) {
-	case indexMagic:
-		return loadSearcherV2(g, r, opts)
-	case "codtree1":
-		// Legacy v1: the stream begins directly with the hierarchy blob.
-		return loadSearcherV1(g, io.MultiReader(bytes.NewReader(magic), r), opts)
-	default:
+	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrIndexVersion, magic)
 	}
-}
-
-func loadSearcherV2(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	hdrBytes := make([]byte, binary.Size(indexHeader{}))
 	if _, err := io.ReadFull(r, hdrBytes); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrIndexTruncated, err)
@@ -266,21 +257,6 @@ func loadSearcherV2(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 		return nil, fmt.Errorf("%w: hierarchy spans %d nodes, graph has %d", ErrIndexParams, t.N(), g.N())
 	}
 	idx, err := core.ReadHimor(bytes.NewReader(himorBlob), t)
-	if err != nil {
-		return nil, fmt.Errorf("cod: loading index: %w", err)
-	}
-	return searcherWithState(g, t, idx, opts), nil
-}
-
-func loadSearcherV1(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
-	t, err := hier.ReadTree(r)
-	if err != nil {
-		return nil, fmt.Errorf("cod: loading hierarchy: %w", err)
-	}
-	if t.N() != g.N() {
-		return nil, fmt.Errorf("%w: hierarchy spans %d nodes, graph has %d", ErrIndexParams, t.N(), g.N())
-	}
-	idx, err := core.ReadHimor(r, t)
 	if err != nil {
 		return nil, fmt.Errorf("cod: loading index: %w", err)
 	}

@@ -191,10 +191,14 @@ func TestSaveIndexWriteFailures(t *testing.T) {
 	}
 }
 
-func TestLegacyV1IndexStillLoads(t *testing.T) {
+// TestLegacyV1IndexRejected locks the removal of the hierarchy-only v1
+// stream: it records no offline parameters, so LoadSearcher cannot tell a
+// stream built with another θ, k or seed from a matching one, and must
+// refuse it rather than answer wrong.
+func TestLegacyV1IndexRejected(t *testing.T) {
 	g, s, opts, _ := savedIndex(t)
-	// Emit the pre-v2 layout: raw hierarchy blob followed by the HIMOR blob,
-	// no header and no checksums.
+	// The pre-v2 layout: raw hierarchy blob followed by the HIMOR blob, no
+	// header and no checksums.
 	var v1 bytes.Buffer
 	if _, err := s.eng.Tree().WriteTo(&v1); err != nil {
 		t.Fatal(err)
@@ -202,21 +206,15 @@ func TestLegacyV1IndexStillLoads(t *testing.T) {
 	if _, err := s.eng.Index().WriteTo(&v1); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := LoadSearcher(g, bytes.NewReader(v1.Bytes()), opts)
-	if err != nil {
-		t.Fatalf("legacy v1 index rejected: %v", err)
+	if !bytes.HasPrefix(v1.Bytes(), []byte("codtree1")) {
+		t.Fatalf("hierarchy blob starts with %q, want the v1 magic", v1.Bytes()[:8])
 	}
-	if s.IndexBytes() != s2.IndexBytes() {
-		t.Errorf("legacy load changed index size: %d vs %d", s.IndexBytes(), s2.IndexBytes())
-	}
-	q := NodeID(0)
-	c1, err1 := s.Discover(q, g.Attrs(q)[0])
-	c2, err2 := s2.Discover(q, g.Attrs(q)[0])
-	if err1 != nil || err2 != nil {
-		t.Fatalf("discover errors: %v / %v", err1, err2)
-	}
-	if c1.Found != c2.Found || c1.Size() != c2.Size() {
-		t.Errorf("legacy-loaded searcher answers differently: %+v vs %+v", c1, c2)
+	other := opts
+	other.Theta++
+	for _, o := range []Options{opts, other} {
+		if _, err := LoadSearcher(g, bytes.NewReader(v1.Bytes()), o); !errors.Is(err, ErrIndexVersion) {
+			t.Errorf("v1 stream under θ=%d: err = %v, want ErrIndexVersion", o.Theta, err)
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ echo "serve-smoke: query-event pipeline ok"
 # Graceful drain: start a slow request (codr reclusters per query), give it
 # a moment to be admitted, then SIGTERM. The server must finish the
 # in-flight response and exit 0.
-curl -s -o "$workdir/inflight.json" "$base/discover?q=0&method=codr" &
+curl -s -o "$workdir/inflight.json" "$base/discover?q=0%20and%20node%3D0%20and%20variant%3Dcodr" &
 curl_pid=$!
 sleep 0.2
 kill -TERM "$server_pid"

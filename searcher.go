@@ -214,7 +214,7 @@ func (s *Searcher) DiscoverCtx(ctx context.Context, q NodeID, attr AttrID) (Comm
 // its legacy counterpart.
 func (s *Searcher) discoverSpec(ctx context.Context, sp engine.Spec, vattr AttrID) (Community, error) {
 	rec := obs.FromContext(ctx)
-	if err := s.validate(sp.Q, vattr); err != nil {
+	if err := s.g.validate(sp.Q, vattr); err != nil {
 		rec.CountQuery(err)
 		return Community{}, err
 	}
@@ -232,7 +232,13 @@ func (s *Searcher) discoverSeeded(ctx context.Context, sp engine.Spec, seed uint
 	if err != nil {
 		return Community{}, err
 	}
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}, nil
+	return communityOf(com), nil
+}
+
+// communityOf is the public form of an engine answer, shared by every
+// searcher that executes engine plans.
+func communityOf(com engine.Community) Community {
+	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}
 }
 
 // ReplaySeededCtx re-runs a previously logged query: expr is the query's
@@ -251,7 +257,7 @@ func (s *Searcher) ReplaySeededCtx(ctx context.Context, expr string, seed uint64
 		return Community{}, fmt.Errorf("cod: replay expression %q needs a node= knob", expr)
 	}
 	sp := pq.spec(pq.node)
-	if err := s.validate(sp.Q, pq.attr); err != nil {
+	if err := s.g.validate(sp.Q, pq.attr); err != nil {
 		return Community{}, err
 	}
 	return s.discoverSeeded(ctx, sp, seed)
@@ -293,7 +299,7 @@ func (s *Searcher) EstimateInfluence(v NodeID) (float64, error) {
 // loop polls ctx.Err() once per bounded interval and aborts with a
 // *CanceledError carrying the completed sample count.
 func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64, error) {
-	if err := s.validate(v, 0); err != nil {
+	if err := s.g.validate(v, 0); err != nil {
 		return 0, err
 	}
 	theta := s.opts.Theta
@@ -359,7 +365,7 @@ func (s *Searcher) MaximizeInfluenceCtx(ctx context.Context, k int) ([]NodeID, f
 // enclosing community (0 = smallest), plus that community's size; it errors
 // when i is out of range. This exposes the index for inspection.
 func (s *Searcher) InfluenceRank(q NodeID, i int) (rank, size int, err error) {
-	if err := s.validate(q, 0); err != nil {
+	if err := s.g.validate(q, 0); err != nil {
 		return 0, 0, err
 	}
 	t := s.eng.Tree()
@@ -373,7 +379,7 @@ func (s *Searcher) InfluenceRank(q NodeID, i int) (rank, size int, err error) {
 // HierarchyDepth returns |H(q)|: the number of communities containing q in
 // the non-attributed hierarchy.
 func (s *Searcher) HierarchyDepth(q NodeID) (int, error) {
-	if err := s.validate(q, 0); err != nil {
+	if err := s.g.validate(q, 0); err != nil {
 		return 0, err
 	}
 	t := s.eng.Tree()
@@ -387,15 +393,19 @@ func (s *Searcher) IndexBytes() int64 { return s.eng.Index().ApproxBytes() }
 // Searcher's graph, using the same error shape as every query API: callers
 // (e.g. HTTP front ends) can reject malformed input before spending any
 // query work.
-func (s *Searcher) Validate(q NodeID, attr AttrID) error { return s.validate(q, attr) }
+func (s *Searcher) Validate(q NodeID, attr AttrID) error { return s.g.validate(q, attr) }
 
-func (s *Searcher) validate(q NodeID, attr AttrID) error {
-	if q < 0 || int(q) >= s.g.N() {
-		return &RangeError{What: "query node", Value: int64(q), N: s.g.N()}
+// validate is the argument check of every query API of Searcher and
+// DynamicSearcher, run before any query work or seed draw: q must be a node
+// of g and attr one of its attributes (any non-negative attr on a graph
+// without attributes).
+func (g *Graph) validate(q NodeID, attr AttrID) error {
+	if q < 0 || int(q) >= g.N() {
+		return &RangeError{What: "query node", Value: int64(q), N: g.N()}
 	}
-	if attr < 0 || (s.g.NumAttrs() > 0 && int(attr) >= s.g.NumAttrs()) {
-		return &RangeError{What: "attribute", Value: int64(attr), N: s.g.NumAttrs(),
-			Known: s.g.AttrNames()}
+	if attr < 0 || (g.NumAttrs() > 0 && int(attr) >= g.NumAttrs()) {
+		return &RangeError{What: "attribute", Value: int64(attr), N: g.NumAttrs(),
+			Known: g.AttrNames()}
 	}
 	return nil
 }
