@@ -253,18 +253,31 @@ func BenchmarkLCA(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressedEvaluate times Algorithm 1 the way the engine runs it:
+// one reused EvalScratch, an arena-built θ=10 pool over cora, and the chains
+// of 40 paper-protocol query nodes taken in turn.
 func BenchmarkCompressedEvaluate(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	t, err := hac.Cluster(g, hac.UnweightedAverage)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch := core.ChainFromTree(t, 100)
+	ctx := context.Background()
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(3))
-	rrs := s.Batch(5 * g.N())
+	rrs, err := influence.BatchIntoCtx(ctx, s, 10*g.N(), influence.NewArena())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var chains []*core.Chain
+	for _, q := range dataset.Queries(g, 40, graph.NewRand(4)) {
+		chains = append(chains, core.ChainFromTree(t, q.Node))
+	}
+	sc := core.NewEvalScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CompressedEvaluate(ch, rrs, 5)
+		if _, err := core.CompressedEvaluateScratchCtx(ctx, chains[i%len(chains)], rrs, 5, sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

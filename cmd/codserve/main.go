@@ -238,6 +238,11 @@ func main() {
 	sctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
+		// Flush what the log holds before exiting; queries still running
+		// record after Close, which counts their events as dropped.
+		if cerr := events.Close(); cerr != nil {
+			log.Printf("codserve: query-event log: %v", cerr)
+		}
 		log.Fatal("codserve: drain incomplete: ", err)
 	}
 	if debugSrv != nil {

@@ -83,7 +83,7 @@ func (hs *HeteroSearcher) Discover(q NodeID, attr AttrID) (Community, error) {
 	if err != nil {
 		return Community{}, err
 	}
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex}, nil
+	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}, nil
 }
 
 // ProjectionSize reports the projected homogeneous graph's nodes and edges.

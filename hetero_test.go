@@ -78,6 +78,38 @@ func TestHeteroSearcher(t *testing.T) {
 	}
 }
 
+// A found HIN answer carries q's influence rank within it, as a
+// homogeneous one does: within [1, K], and 0 when nothing is found.
+func TestHeteroSearcherReportsRank(t *testing.T) {
+	const k = 2
+	s, err := NewHeteroSearcher(buildHIN(t), MetaPath{Edges: []int32{0, 0}, Start: 0},
+		Options{K: k, Theta: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for q := NodeID(0); q < 6; q++ {
+		for attr := AttrID(0); attr < 2; attr++ {
+			com, err := s.Discover(q, attr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case com.Found:
+				found++
+				if com.Rank < 1 || com.Rank > k {
+					t.Errorf("q=%d attr=%d: found with rank %d, want within [1, %d]", q, attr, com.Rank, k)
+				}
+			case com.Rank != 0:
+				t.Errorf("q=%d attr=%d: not found but rank %d", q, attr, com.Rank)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no query found a community; the rank check is vacuous")
+	}
+}
+
 func TestHeteroBuilderValidation(t *testing.T) {
 	schema := HeteroSchema{
 		NodeTypes: []string{"a", "b"},

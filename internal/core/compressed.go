@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/influence"
@@ -70,49 +71,62 @@ func CompressedEvaluate(ch *Chain, rrs []*influence.RRGraph, k int) EvalResult {
 }
 
 // EvalScratch holds the reusable working buffers of a compressed
-// evaluation: the per-level influence buckets, the per-level HFS queues, the
-// per-RR visited marks and the running tally map. Reuse is determinism-safe
-// because the only map-order-sensitive consumer — the top-k sweep — is
-// order-invariant under the canonical influence order (see topK.offer), so a
-// scratch-backed run returns exactly the fresh-allocation result. A scratch
-// is single-goroutine; the engine pools one per query.
+// evaluation. The HFS fold uses per-level queues and per-RR visited marks
+// and appends every bucket entry, as a (level, node) occurrence, to one flat
+// buffer; Lemma 2 bounds its length by the pool's RR-graph nodes. The sweep
+// groups the buffer by level with a counting sort and accumulates a dense
+// tally τ indexed by node id, plus a per-level stamp so each node is offered
+// to the top-k set once per level, at its final count. A touched list resets
+// only the tally cells the previous sweep wrote, so a scratch may be reused
+// across chains and graphs of any size and returns exactly the
+// fresh-allocation result. A scratch is single-goroutine; the engine pools
+// one per query.
 type EvalScratch struct {
-	buckets []map[graph.NodeID]int32
 	queues  [][]int32
 	visited []bool
-	tau     map[graph.NodeID]int32
+	occ     []occurrence // bucket entries in fold order
+	counts  []int        // counts[h]: entries of occ at level h
+	bounds  []int        // level h's run in byLevel is byLevel[bounds[h]:bounds[h+1]]
+	byLevel []graph.NodeID
+	tally   []tallyCell // indexed by node id; zero outside touched
+	touched []graph.NodeID
+	top     topK
 	topk    []bool
 	ranks   []int32
 }
+
+// occurrence is one bucket entry: node reached at chain level.
+type occurrence struct {
+	level int32
+	node  graph.NodeID
+}
+
+// tallyCell is one node's running count τ(v) and seen, the last level
+// (plus one) at which the sweep offered v to the top-k set.
+type tallyCell struct{ cnt, seen int32 }
 
 // NewEvalScratch returns an empty scratch.
 func NewEvalScratch() *EvalScratch { return &EvalScratch{} }
 
 // prepare sizes the scratch for a chain of L levels, clearing carried state.
 func (sc *EvalScratch) prepare(L int) {
-	for len(sc.buckets) < L {
-		sc.buckets = append(sc.buckets, make(map[graph.NodeID]int32))
-	}
-	for h := 0; h < L; h++ {
-		clear(sc.buckets[h])
-	}
 	for len(sc.queues) < L {
 		sc.queues = append(sc.queues, nil)
 	}
 	for h := 0; h < L; h++ {
 		sc.queues[h] = sc.queues[h][:0]
 	}
-	if sc.tau == nil {
-		sc.tau = make(map[graph.NodeID]int32, 64)
-	} else {
-		clear(sc.tau)
-	}
 	if cap(sc.topk) < L {
 		sc.topk = make([]bool, L)
 		sc.ranks = make([]int32, L)
+		sc.counts = make([]int, L)
+		sc.bounds = make([]int, L+1)
 	}
 	sc.topk = sc.topk[:L]
 	sc.ranks = sc.ranks[:L]
+	sc.counts = sc.counts[:L]
+	clear(sc.counts)
+	sc.occ = sc.occ[:0]
 }
 
 // visitedFor returns a cleared visited buffer of length n.
@@ -137,93 +151,186 @@ func CompressedEvaluateCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGr
 // buffer from sc instead of allocating. Results are identical to the
 // allocating call for any (possibly dirty) scratch.
 func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *EvalScratch) (EvalResult, error) {
-	rec := obs.FromContext(ctx)
-	L := ch.Len()
-	sc.prepare(L)
-	buckets := sc.buckets[:L]
-
+	sc.prepare(ch.Len())
 	// Stage 1: shared sample generation (HFS over every RR graph).
-	induce := rec.StartSpan(obs.StageRRInduce)
-	entries := 0
-	for ri, r := range rrs {
-		if ri%influence.PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				induce.EndItems(entries)
-				return EvalResult{Level: -1}, &influence.CanceledError{
-					Op: "core: compressed evaluation", Done: ri, Total: len(rrs), Cause: err}
-			}
-		}
-		entries += sc.foldRR(ch, L, r)
+	if _, err := sc.fold(ctx, ch, rrs, 0); err != nil {
+		return EvalResult{Level: -1}, err
 	}
-
-	induce.EndItems(entries)
-
 	// Stage 2: incremental top-k evaluation.
-	sweep := rec.StartSpan(obs.StageTopKSweep)
-	tau := sc.tau
-	top := newTopK(k)
-	best := -1
-	for h := 0; h < L; h++ {
-		for v, cnt := range buckets[h] {
-			nv := tau[v] + cnt
-			tau[v] = nv
-			top.offer(v, nv)
-		}
-		ahead := top.aheadOf(ch.q, tau[ch.q])
-		sc.ranks[h] = int32(ahead) + 1
-		sc.topk[h] = ahead < k
-		if sc.topk[h] {
-			best = h
-		}
-	}
-	sweep.EndItems(len(tau))
-	return EvalResult{Level: best, QCount: int(tau[ch.q]), Buckets: entries,
-		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, nil
+	return sc.sweep(ctx, ch, k, nil), nil
 }
 
-// foldRR runs the HFS pass of one RR graph, adding its node occurrences to
-// the per-level buckets, and returns the bucket entries it produced. Every
-// pushed node lands at the current or a later level, so sweeping h from the
-// source level upward processes (and then resets) each queue once. The fold
-// is purely additive per RR graph, which is what lets StagedEval grow the
-// pool across stages at the same total HFS cost as a single full pass.
-func (sc *EvalScratch) foldRR(ch *Chain, L int, r *influence.RRGraph) int {
-	srcLevel := ch.Level(r.Source())
-	if srcLevel >= L {
-		return 0 // source outside the chain's universe
+// fold folds rrs[from:] into the occurrence buffer under an rr_induce span,
+// polling ctx once per influence.PollEvery RR graphs. It returns the index
+// of the first RR graph left unfolded: max(from, len(rrs)), or on
+// cancellation an earlier one with a *influence.CanceledError.
+func (sc *EvalScratch) fold(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, from int) (int, error) {
+	induce := obs.FromContext(ctx).StartSpan(obs.StageRRInduce)
+	L, before := ch.Len(), len(sc.occ)
+	i := from
+	for ; i < len(rrs); i++ {
+		if i%influence.PollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				induce.EndItems(len(sc.occ) - before)
+				return i, &influence.CanceledError{
+					Op: "core: compressed evaluation", Done: i, Total: len(rrs), Cause: err}
+			}
+		}
+		r := rrs[i]
+		if cap(sc.occ)-len(sc.occ) < r.Len() {
+			sc.reserve(rrs[i:])
+		}
+		sc.foldRR(ch, L, r)
 	}
-	buckets := sc.buckets[:L]
+	induce.EndItems(len(sc.occ) - before)
+	return i, nil
+}
+
+// reserve grows the occurrence buffer to hold every node of rest. Lemma 2
+// bounds the entries those RR graphs can add by their node count, so one
+// allocation replaces append's growth series on a fresh scratch.
+func (sc *EvalScratch) reserve(rest []*influence.RRGraph) {
+	n := 0
+	for _, r := range rest {
+		n += r.Len()
+	}
+	sc.occ = slices.Grow(sc.occ, n)
+}
+
+// foldRR runs the HFS pass of one RR graph, appending its node occurrences
+// to the flat bucket buffer. Every pushed node lands at the current or a
+// later level, so sweeping h from the source level upward processes (and
+// then resets) each queue once, and the pass stops at the highest level
+// anything was queued at. The fold is purely additive per RR graph, which
+// is what lets StagedEval grow the pool across stages at the same total HFS
+// cost as a single full pass.
+func (sc *EvalScratch) foldRR(ch *Chain, L int, r *influence.RRGraph) {
+	level := ch.level
+	srcLevel := int(level[r.Source()])
+	if srcLevel >= L {
+		return // source outside the chain's universe
+	}
+	nodes, off, adj := r.Nodes, r.Off, r.Adj
 	queues := sc.queues[:L]
-	entries := 0
-	visited := sc.visitedFor(r.Len())
+	occ := sc.occ
+	visited := sc.visitedFor(len(nodes))
 	visited[0] = true
 	queues[srcLevel] = append(queues[srcLevel], 0)
-	for h := srcLevel; h < L; h++ {
+	last := srcLevel
+	for h := srcLevel; h <= last; h++ {
 		q := queues[h]
 		for qi := 0; qi < len(q); qi++ {
 			p := q[qi]
-			node := r.Nodes[p]
-			buckets[h][node]++
-			entries++
-			for _, t := range r.Adj[r.Off[p]:r.Off[p+1]] {
+			occ = append(occ, occurrence{level: int32(h), node: nodes[p]})
+			for _, t := range adj[off[p]:off[p+1]] {
 				if visited[t] {
 					continue
 				}
 				visited[t] = true
-				lvl := ch.Level(r.Nodes[t])
+				lvl := int(level[nodes[t]])
 				if lvl >= L {
 					continue
 				}
-				if lvl < h {
-					lvl = h
+				if lvl <= h {
+					q = append(q, t)
+					continue
 				}
+				last = max(last, lvl)
 				queues[lvl] = append(queues[lvl], t)
-				q = queues[h] // re-read: the append above may have grown level h
 			}
 		}
+		sc.counts[h] += len(q)
 		queues[h] = q[:0]
 	}
-	return entries
+	sc.occ = occ
+}
+
+// sweep runs the incremental top-k evaluation over every occurrence folded
+// since prepare and fills margins (when non-nil) per level. The top-k set
+// holds the k largest nodes other than q, as the margins' Boundary needs;
+// the number of them ahead of q, and with it each level's rank and
+// decision, is the same as with the k largest nodes overall.
+func (sc *EvalScratch) sweep(ctx context.Context, ch *Chain, k int, margins []LevelMargin) EvalResult {
+	span := obs.FromContext(ctx).StartSpan(obs.StageTopKSweep)
+	L, q := ch.Len(), ch.q
+	byLevel := sc.groupByLevel(L)
+	bounds := sc.bounds[:L+1]
+	sc.resetTally(len(ch.level))
+	tally, touched := sc.tally, sc.touched
+	top := &sc.top
+	top.k = k
+	top.reset()
+	best := -1
+	for h := 0; h < L; h++ {
+		run := byLevel[bounds[h]:bounds[h+1]]
+		for _, v := range run {
+			c := &tally[v]
+			if c.cnt == 0 {
+				touched = append(touched, v)
+			}
+			c.cnt++
+		}
+		stamp := int32(h) + 1
+		for _, v := range run {
+			if c := &tally[v]; c.seen != stamp && v != q {
+				c.seen = stamp
+				top.offer(v, c.cnt)
+			}
+		}
+		qCnt := tally[q].cnt
+		ahead := top.aheadOf(q, qCnt)
+		sc.ranks[h] = int32(ahead) + 1
+		sc.topk[h] = ahead < k
+		if margins != nil {
+			margins[h] = LevelMargin{QCount: qCnt, Boundary: top.boundary(), InTopK: sc.topk[h]}
+		}
+		if sc.topk[h] {
+			best = h
+		}
+	}
+	sc.touched = touched
+	span.EndItems(len(touched))
+	return EvalResult{Level: best, QCount: int(tally[q].cnt), Buckets: len(sc.occ),
+		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}
+}
+
+// groupByLevel counting-sorts the occurrence buffer by level into byLevel
+// and leaves level h's run at byLevel[bounds[h]:bounds[h+1]].
+func (sc *EvalScratch) groupByLevel(L int) []graph.NodeID {
+	if cap(sc.byLevel) < len(sc.occ) {
+		// Match occ's capacity: growing only when occ grows keeps pools of
+		// slightly different sizes from reallocating it query after query.
+		sc.byLevel = make([]graph.NodeID, cap(sc.occ))
+	}
+	byLevel := sc.byLevel[:len(sc.occ)]
+	// bounds[h] starts as the end of level h's run; placing the buffer
+	// back to front walks it down to the run's start.
+	bounds := sc.bounds[:L+1]
+	end := 0
+	for h, c := range sc.counts[:L] {
+		end += c
+		bounds[h] = end
+	}
+	bounds[L] = end
+	for i := len(sc.occ) - 1; i >= 0; i-- {
+		o := sc.occ[i]
+		bounds[o.level]--
+		byLevel[bounds[o.level]] = o.node
+	}
+	return byLevel
+}
+
+// resetTally zeroes the cells the previous sweep touched and sizes the
+// tally for node ids below n.
+func (sc *EvalScratch) resetTally(n int) {
+	if len(sc.tally) < n {
+		sc.tally = make([]tallyCell, n)
+	} else {
+		for _, v := range sc.touched {
+			sc.tally[v] = tallyCell{}
+		}
+	}
+	sc.touched = sc.touched[:0]
 }
 
 // topK maintains the k nodes with the largest counts seen so far. k is small
@@ -234,14 +341,11 @@ type topK struct {
 	cnts  []int32
 }
 
-func newTopK(k int) *topK {
-	return &topK{k: k, nodes: make([]graph.NodeID, 0, k), cnts: make([]int32, 0, k)}
-}
-
 // offer updates node v's count or inserts it when it outranks the current
 // minimum under the canonical influence order (count descending, ties by
-// smaller node ID). The tie-break makes the retained set independent of map
-// iteration order, so the evaluation is deterministic even on count ties.
+// smaller node ID). The tie-break makes the retained set independent of the
+// order nodes are offered in, so the evaluation is deterministic even on
+// count ties.
 func (t *topK) offer(v graph.NodeID, cnt int32) {
 	for i, n := range t.nodes {
 		if n == v {

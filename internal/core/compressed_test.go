@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/influence"
+	"github.com/codsearch/cod/internal/obs"
 )
 
 // referenceCounts computes, per chain level and node, the number of RR
@@ -400,4 +402,413 @@ func TestCompressedEvaluateScratchReuse(t *testing.T) {
 			t.Errorf("q=%d: scratch eval = %+v, want %+v", q, got, want)
 		}
 	}
+}
+
+// denseCase is one chain and RR pool the dense evaluation is checked on.
+type denseCase struct {
+	name string
+	ch   *Chain
+	rrs  []*influence.RRGraph
+}
+
+// denseCases builds tree, merged and inner chains over ER and
+// planted-partition graphs whose N grows and then shrinks, each with IC and
+// LT pools: 12-sample ones, where count ties are common, and θ=3 ones.
+// Inner chains, which leave every node outside C_ℓ at Level ≥ Len(), also
+// get a pool restricted to C_ℓ, as CODL samples it.
+func denseCases(t *testing.T) []denseCase {
+	t.Helper()
+	pp, _ := graph.PlantedPartition(graph.PlantedPartitionSpec{N: 120, TargetM: 420, NumComms: 6,
+		IntraFraction: 0.8, HubBias: 0.5, PendantFraction: 0.3}, graph.NewRand(51))
+	bases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"er40", graph.ErdosRenyi(40, 110, graph.NewRand(50))},
+		{"pp120", pp},
+		{"er60", graph.ErdosRenyi(60, 170, graph.NewRand(52))},
+	}
+	var cases []denseCase
+	for bi, b := range bases {
+		rng := graph.NewRand(uint64(60 + bi))
+		g, q := withRandomAttrs(b.g, rng)
+		tr, err := hac.Cluster(g, hac.UnweightedAverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := LoreCtx(context.Background(), g, tr, q, 0, 1, hac.UnweightedAverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains := []struct {
+			name string
+			ch   *Chain
+		}{
+			{"tree", ChainFromTree(tr, q)},
+			{"merged", MergedChain(g, tr, rec, q)},
+			{"inner", InnerChain(g, tr, rec, q)},
+		}
+		ic := influence.NewSampler(g, influence.NewWeightedCascade(g), rng)
+		lt := influence.NewLTSampler(g, influence.UniformLT{G: g}, rng)
+		pools := []struct {
+			name string
+			rrs  []*influence.RRGraph
+		}{
+			{"ic/12", ic.Batch(12)},
+			{"ic/3n", ic.Batch(3 * g.N())},
+			{"lt/12", lt.Batch(12)},
+			{"lt/3n", lt.Batch(3 * g.N())},
+		}
+		for _, c := range chains {
+			for _, p := range pools {
+				cases = append(cases, denseCase{b.name + "/" + c.name + "/" + p.name, c.ch, p.rrs})
+			}
+		}
+		members := rec.Sub.ToParent
+		in := make([]bool, g.N())
+		for _, v := range members {
+			in[v] = true
+		}
+		var within []*influence.RRGraph
+		for i := 0; i < 3*len(members); i++ {
+			within = append(within, ic.RRGraphWithin(members[rng.IntN(len(members))],
+				func(v graph.NodeID) bool { return in[v] }))
+		}
+		cases = append(cases, denseCase{b.name + "/inner/ic-within", chains[2].ch, within})
+	}
+	return cases
+}
+
+// The dense fold and sweep must reproduce the map-based evaluation's full
+// result — level, q's count, bucket entries, per-level decisions and ranks —
+// on every case, with one scratch reused across all of them.
+func TestDenseEvalMatchesLegacy(t *testing.T) {
+	ctx := context.Background()
+	sc := NewEvalScratch()
+	for _, c := range denseCases(t) {
+		for _, k := range []int{1, 3, 5} {
+			want, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, newLegacyEvalScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s k=%d: dense %+v, map-based %+v", c.name, k, got, want)
+			}
+		}
+	}
+}
+
+// StagedEval must reproduce the map-based staged evaluation stage by stage:
+// the result and every level's margin. The 12-sample pools must produce
+// count ties at the rank-k boundary, or the tie-break goes unchecked.
+func TestDenseStagedMatchesLegacy(t *testing.T) {
+	ctx := context.Background()
+	sc := NewEvalScratch()
+	ties := 0
+	for _, c := range denseCases(t) {
+		for _, k := range []int{1, 3, 5} {
+			ref := newLegacyStagedEval(c.ch, k, nil)
+			se := NewStagedEval(c.ch, k, sc)
+			n := len(c.rrs)
+			for _, cum := range []int{n / 8, n / 4, n / 2, n} {
+				if err := ref.Fold(ctx, c.rrs[:cum]); err != nil {
+					t.Fatal(err)
+				}
+				if err := se.Fold(ctx, c.rrs[:cum]); err != nil {
+					t.Fatal(err)
+				}
+				want, wantM := ref.Sweep(ctx)
+				got, gotM := se.Sweep(ctx)
+				if !got.Equal(want) || !slices.Equal(gotM, wantM) {
+					t.Fatalf("%s k=%d cum=%d: dense %+v %v, map-based %+v %v",
+						c.name, k, cum, got, gotM, want, wantM)
+				}
+				for _, m := range wantM {
+					if m.Boundary > 0 && m.QCount == m.Boundary {
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no level tied q's count with the rank-k boundary")
+	}
+}
+
+// A warm scratch evaluation allocates nothing: every working buffer, the
+// top-k set included, lives in the scratch.
+func TestCompressedEvaluateScratchAllocs(t *testing.T) {
+	ch, rrs := stagedChain(t, 2, 60, 200, 400)
+	ctx := context.Background()
+	sc := NewEvalScratch()
+	eval := func() {
+		if _, err := CompressedEvaluateScratchCtx(ctx, ch, rrs, 3, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval()
+	if n := testing.AllocsPerRun(20, eval); n > 0 {
+		t.Errorf("warm evaluation allocated %v objects, want 0", n)
+	}
+}
+
+// The map-based evaluation as it stood before the dense occurrence buffer
+// and tally, kept verbatim (identifiers renamed) as the reference the dense
+// fold and sweep must reproduce exactly: per-level bucket maps, a running
+// tally map, and a fold that walks every level up to L.
+
+// legacyEvalScratch holds the reusable working buffers of a compressed
+// evaluation: the per-level influence buckets, the per-level HFS queues, the
+// per-RR visited marks and the running tally map. Reuse is determinism-safe
+// because the only map-order-sensitive consumer — the top-k sweep — is
+// order-invariant under the canonical influence order (see topK.offer), so a
+// scratch-backed run returns exactly the fresh-allocation result. A scratch
+// is single-goroutine; the engine pools one per query.
+type legacyEvalScratch struct {
+	buckets []map[graph.NodeID]int32
+	queues  [][]int32
+	visited []bool
+	tau     map[graph.NodeID]int32
+	topk    []bool
+	ranks   []int32
+}
+
+// newLegacyEvalScratch returns an empty scratch.
+func newLegacyEvalScratch() *legacyEvalScratch { return &legacyEvalScratch{} }
+
+// prepare sizes the scratch for a chain of L levels, clearing carried state.
+func (sc *legacyEvalScratch) prepare(L int) {
+	for len(sc.buckets) < L {
+		sc.buckets = append(sc.buckets, make(map[graph.NodeID]int32))
+	}
+	for h := 0; h < L; h++ {
+		clear(sc.buckets[h])
+	}
+	for len(sc.queues) < L {
+		sc.queues = append(sc.queues, nil)
+	}
+	for h := 0; h < L; h++ {
+		sc.queues[h] = sc.queues[h][:0]
+	}
+	if sc.tau == nil {
+		sc.tau = make(map[graph.NodeID]int32, 64)
+	} else {
+		clear(sc.tau)
+	}
+	if cap(sc.topk) < L {
+		sc.topk = make([]bool, L)
+		sc.ranks = make([]int32, L)
+	}
+	sc.topk = sc.topk[:L]
+	sc.ranks = sc.ranks[:L]
+}
+
+// visitedFor returns a cleared visited buffer of length n.
+func (sc *legacyEvalScratch) visitedFor(n int) []bool {
+	if cap(sc.visited) < n {
+		sc.visited = make([]bool, n)
+	}
+	sc.visited = sc.visited[:n]
+	clear(sc.visited)
+	return sc.visited
+}
+
+// legacyCompressedEvaluateScratchCtx is CompressedEvaluateCtx drawing every working
+// buffer from sc instead of allocating. Results are identical to the
+// allocating call for any (possibly dirty) scratch.
+func legacyCompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *legacyEvalScratch) (EvalResult, error) {
+	rec := obs.FromContext(ctx)
+	L := ch.Len()
+	sc.prepare(L)
+	buckets := sc.buckets[:L]
+
+	// Stage 1: shared sample generation (HFS over every RR graph).
+	induce := rec.StartSpan(obs.StageRRInduce)
+	entries := 0
+	for ri, r := range rrs {
+		if ri%influence.PollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				induce.EndItems(entries)
+				return EvalResult{Level: -1}, &influence.CanceledError{
+					Op: "core: compressed evaluation", Done: ri, Total: len(rrs), Cause: err}
+			}
+		}
+		entries += sc.foldRR(ch, L, r)
+	}
+
+	induce.EndItems(entries)
+
+	// Stage 2: incremental top-k evaluation.
+	sweep := rec.StartSpan(obs.StageTopKSweep)
+	tau := sc.tau
+	top := newTopK(k)
+	best := -1
+	for h := 0; h < L; h++ {
+		for v, cnt := range buckets[h] {
+			nv := tau[v] + cnt
+			tau[v] = nv
+			top.offer(v, nv)
+		}
+		ahead := top.aheadOf(ch.q, tau[ch.q])
+		sc.ranks[h] = int32(ahead) + 1
+		sc.topk[h] = ahead < k
+		if sc.topk[h] {
+			best = h
+		}
+	}
+	sweep.EndItems(len(tau))
+	return EvalResult{Level: best, QCount: int(tau[ch.q]), Buckets: entries,
+		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, nil
+}
+
+// foldRR runs the HFS pass of one RR graph, adding its node occurrences to
+// the per-level buckets, and returns the bucket entries it produced. Every
+// pushed node lands at the current or a later level, so sweeping h from the
+// source level upward processes (and then resets) each queue once. The fold
+// is purely additive per RR graph, which is what lets legacyStagedEval grow the
+// pool across stages at the same total HFS cost as a single full pass.
+func (sc *legacyEvalScratch) foldRR(ch *Chain, L int, r *influence.RRGraph) int {
+	srcLevel := ch.Level(r.Source())
+	if srcLevel >= L {
+		return 0 // source outside the chain's universe
+	}
+	buckets := sc.buckets[:L]
+	queues := sc.queues[:L]
+	entries := 0
+	visited := sc.visitedFor(r.Len())
+	visited[0] = true
+	queues[srcLevel] = append(queues[srcLevel], 0)
+	for h := srcLevel; h < L; h++ {
+		q := queues[h]
+		for qi := 0; qi < len(q); qi++ {
+			p := q[qi]
+			node := r.Nodes[p]
+			buckets[h][node]++
+			entries++
+			for _, t := range r.Adj[r.Off[p]:r.Off[p+1]] {
+				if visited[t] {
+					continue
+				}
+				visited[t] = true
+				lvl := ch.Level(r.Nodes[t])
+				if lvl >= L {
+					continue
+				}
+				if lvl < h {
+					lvl = h
+				}
+				queues[lvl] = append(queues[lvl], t)
+				q = queues[h] // re-read: the append above may have grown level h
+			}
+		}
+		queues[h] = q[:0]
+	}
+	return entries
+}
+
+// topK maintains the k nodes with the largest counts seen so far. k is small
+// (the paper uses k <= 5), so linear operations are fastest.
+
+// newTopK returns an empty top-k set of rank k; the map-based evaluation
+// allocates one per sweep.
+func newTopK(k int) *topK {
+	return &topK{k: k, nodes: make([]graph.NodeID, 0, k), cnts: make([]int32, 0, k)}
+}
+
+// Sweep runs the incremental top-k sweep over everything folded so far,
+// reporting the would-be answer plus per-level margins. A legacyStagedEval is
+// single-goroutine, like the scratch it borrows.
+type legacyStagedEval struct {
+	ch      *Chain
+	k       int
+	sc      *legacyEvalScratch
+	top     *topK
+	folded  int
+	entries int
+	margins []LevelMargin
+}
+
+// newLegacyStagedEval prepares a staged evaluation of ch at rank k drawing its
+// working buffers from sc (which may be nil for a private scratch). The
+// scratch must not be used by another evaluation until the legacyStagedEval is
+// done.
+func newLegacyStagedEval(ch *Chain, k int, sc *legacyEvalScratch) *legacyStagedEval {
+	if sc == nil {
+		sc = newLegacyEvalScratch()
+	}
+	sc.prepare(ch.Len())
+	return &legacyStagedEval{ch: ch, k: k, sc: sc, top: newTopK(k),
+		margins: make([]LevelMargin, ch.Len())}
+}
+
+// Folded returns the number of RR graphs folded so far.
+func (se *legacyStagedEval) Folded() int { return se.folded }
+
+// Fold folds rrs[Folded():] — the samples added since the previous call —
+// into the accumulated buckets. Passing the whole (grown) pool every stage
+// is the intended calling convention: already-folded prefixes are skipped.
+// The fold polls ctx once per influence.PollEvery RR graphs and stops with
+// a *influence.CanceledError counting the RR graphs folded in so far.
+func (se *legacyStagedEval) Fold(ctx context.Context, rrs []*influence.RRGraph) error {
+	induce := obs.FromContext(ctx).StartSpan(obs.StageRRInduce)
+	L := se.ch.Len()
+	added := 0
+	for ; se.folded < len(rrs); se.folded++ {
+		if se.folded%influence.PollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				se.entries += added
+				induce.EndItems(added)
+				return &influence.CanceledError{
+					Op: "core: compressed evaluation", Done: se.folded, Total: len(rrs), Cause: err}
+			}
+		}
+		added += se.sc.foldRR(se.ch, L, rrs[se.folded])
+	}
+	se.entries += added
+	induce.EndItems(added)
+	return nil
+}
+
+// Sweep runs the incremental top-k sweep over the folded pool, returning
+// the evaluation result as of this stage and the per-level margins (valid
+// until the next Sweep). The decision at every level — and therefore the
+// result — is identical to CompressedEvaluate over the same folded pool:
+// the sweep tracks the k largest non-q nodes instead of the k largest
+// overall, which changes the boundary bookkeeping but not whether fewer
+// than k nodes rank ahead of q.
+func (se *legacyStagedEval) Sweep(ctx context.Context) (EvalResult, []LevelMargin) {
+	sweep := obs.FromContext(ctx).StartSpan(obs.StageTopKSweep)
+	sc, ch, q := se.sc, se.ch, se.ch.q
+	L := ch.Len()
+	clear(sc.tau)
+	tau := sc.tau
+	se.top.reset()
+	best := -1
+	for h := 0; h < L; h++ {
+		for v, cnt := range sc.buckets[h] {
+			nv := tau[v] + cnt
+			tau[v] = nv
+			if v != q {
+				se.top.offer(v, nv)
+			}
+		}
+		ahead := se.top.aheadOf(q, tau[q])
+		sc.ranks[h] = int32(ahead) + 1
+		sc.topk[h] = ahead < se.k
+		m := &se.margins[h]
+		m.QCount = tau[q]
+		m.Boundary = se.top.boundary()
+		m.InTopK = sc.topk[h]
+		if m.InTopK {
+			best = h
+		}
+	}
+	sweep.EndItems(len(tau))
+	return EvalResult{Level: best, QCount: int(tau[q]), Buckets: se.entries,
+		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, se.margins
 }

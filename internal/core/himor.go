@@ -110,24 +110,33 @@ func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.
 	buckets := make([]map[graph.NodeID]int32, t.NumVertices())
 	theta0 := theta * n
 	queues := make([][]int32, 0, 64)
+	var chainVerts []hier.Vertex
+	var visited []bool
 	for i := 0; i < theta0; i++ {
 		r := next()
 		src := r.Source()
-		chainVerts := t.Ancestors(t.LeafOf(src))
+		leafSrc := t.LeafOf(src)
+		chainVerts = chainVerts[:0]
+		for p := t.Parent(leafSrc); p != -1; p = t.Parent(p) {
+			chainVerts = append(chainVerts, p)
+		}
 		if len(chainVerts) == 0 {
 			continue // single-node graph
 		}
 		L := len(chainVerts)
 		topDepth := t.Depth(chainVerts[0])
-		if cap(queues) < L {
-			queues = make([][]int32, L)
+		for len(queues) < L {
+			queues = append(queues, nil)
 		}
-		queues = queues[:L]
-		visited := make([]bool, r.Len())
+		if cap(visited) < r.Len() {
+			visited = make([]bool, r.Len())
+		}
+		visited = visited[:r.Len()]
+		clear(visited)
 		visited[0] = true
 		queues[0] = append(queues[0], 0)
-		leafSrc := t.LeafOf(src)
-		for lev := 0; lev < L; lev++ {
+		last := 0 // highest level queued
+		for lev := 0; lev <= last; lev++ {
 			q := queues[lev]
 			for qi := 0; qi < len(q); qi++ {
 				p := q[qi]
@@ -150,6 +159,7 @@ func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.
 					if lu < lev {
 						lu = lev
 					}
+					last = max(last, lu)
 					queues[lu] = append(queues[lu], tp)
 					q = queues[lev]
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -16,7 +17,13 @@ import (
 func randomAttributed(t *testing.T, seed uint64, n int) (*graph.Graph, graph.NodeID) {
 	t.Helper()
 	rng := graph.NewRand(seed)
-	base := graph.ErdosRenyi(n, 3*n, rng)
+	return withRandomAttrs(graph.ErdosRenyi(n, 3*n, rng), rng)
+}
+
+// withRandomAttrs copies base, giving each node one of two attributes drawn
+// from rng, and returns the copy plus the first node carrying attribute 0.
+func withRandomAttrs(base *graph.Graph, rng *rand.Rand) (*graph.Graph, graph.NodeID) {
+	n := base.N()
 	b := graph.NewBuilder(n, 2)
 	base.ForEachEdge(func(u, v graph.NodeID, w float64) { _ = b.AddWeightedEdge(u, v, w) })
 	var q graph.NodeID = -1

@@ -4,13 +4,12 @@ import (
 	"context"
 
 	"github.com/codsearch/cod/internal/influence"
-	"github.com/codsearch/cod/internal/obs"
 )
 
 // This file is the stage-resumable form of Algorithm 1 used by the engine's
 // bounded-error adaptive mode (DESIGN.md §16). The per-RR HFS fold is purely
 // additive, so a StagedEval grows the shared sample pool across geometric
-// stages and re-sweeps the accumulated buckets after each stage; folding
+// stages and re-sweeps the accumulated occurrences after each stage; folding
 // every sample exactly once keeps the total HFS cost equal to one
 // non-staged evaluation, and a run that reaches the full pool returns
 // exactly CompressedEvaluate's result.
@@ -30,17 +29,16 @@ type LevelMargin struct {
 }
 
 // StagedEval accumulates a compressed COD evaluation across a growing RR
-// sample pool. Fold folds the pool's new suffix into the per-level buckets;
-// Sweep runs the incremental top-k sweep over everything folded so far,
-// reporting the would-be answer plus per-level margins. A StagedEval is
-// single-goroutine, like the scratch it borrows.
+// sample pool. Fold appends the pool's new suffix to the scratch's flat
+// occurrence buffer; Sweep regroups everything folded so far by level and
+// runs the incremental top-k sweep over it, reporting the would-be answer
+// plus per-level margins. A StagedEval is single-goroutine, like the
+// scratch it borrows.
 type StagedEval struct {
 	ch      *Chain
 	k       int
 	sc      *EvalScratch
-	top     *topK
 	folded  int
-	entries int
 	margins []LevelMargin
 }
 
@@ -53,8 +51,7 @@ func NewStagedEval(ch *Chain, k int, sc *EvalScratch) *StagedEval {
 		sc = NewEvalScratch()
 	}
 	sc.prepare(ch.Len())
-	return &StagedEval{ch: ch, k: k, sc: sc, top: newTopK(k),
-		margins: make([]LevelMargin, ch.Len())}
+	return &StagedEval{ch: ch, k: k, sc: sc, margins: make([]LevelMargin, ch.Len())}
 }
 
 // Folded returns the number of RR graphs folded so far.
@@ -66,60 +63,16 @@ func (se *StagedEval) Folded() int { return se.folded }
 // The fold polls ctx once per influence.PollEvery RR graphs and stops with
 // a *influence.CanceledError counting the RR graphs folded in so far.
 func (se *StagedEval) Fold(ctx context.Context, rrs []*influence.RRGraph) error {
-	induce := obs.FromContext(ctx).StartSpan(obs.StageRRInduce)
-	L := se.ch.Len()
-	added := 0
-	for ; se.folded < len(rrs); se.folded++ {
-		if se.folded%influence.PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				se.entries += added
-				induce.EndItems(added)
-				return &influence.CanceledError{
-					Op: "core: compressed evaluation", Done: se.folded, Total: len(rrs), Cause: err}
-			}
-		}
-		added += se.sc.foldRR(se.ch, L, rrs[se.folded])
-	}
-	se.entries += added
-	induce.EndItems(added)
-	return nil
+	var err error
+	se.folded, err = se.sc.fold(ctx, se.ch, rrs, se.folded)
+	return err
 }
 
 // Sweep runs the incremental top-k sweep over the folded pool, returning
 // the evaluation result as of this stage and the per-level margins (valid
 // until the next Sweep). The decision at every level — and therefore the
-// result — is identical to CompressedEvaluate over the same folded pool:
-// the sweep tracks the k largest non-q nodes instead of the k largest
-// overall, which changes the boundary bookkeeping but not whether fewer
-// than k nodes rank ahead of q.
+// result — is identical to CompressedEvaluate over the same folded pool,
+// since both run the same sweep.
 func (se *StagedEval) Sweep(ctx context.Context) (EvalResult, []LevelMargin) {
-	sweep := obs.FromContext(ctx).StartSpan(obs.StageTopKSweep)
-	sc, ch, q := se.sc, se.ch, se.ch.q
-	L := ch.Len()
-	clear(sc.tau)
-	tau := sc.tau
-	se.top.reset()
-	best := -1
-	for h := 0; h < L; h++ {
-		for v, cnt := range sc.buckets[h] {
-			nv := tau[v] + cnt
-			tau[v] = nv
-			if v != q {
-				se.top.offer(v, nv)
-			}
-		}
-		ahead := se.top.aheadOf(q, tau[q])
-		sc.ranks[h] = int32(ahead) + 1
-		sc.topk[h] = ahead < se.k
-		m := &se.margins[h]
-		m.QCount = tau[q]
-		m.Boundary = se.top.boundary()
-		m.InTopK = sc.topk[h]
-		if m.InTopK {
-			best = h
-		}
-	}
-	sweep.EndItems(len(tau))
-	return EvalResult{Level: best, QCount: int(tau[q]), Buckets: se.entries,
-		TopK: sc.topk[:L], Ranks: sc.ranks[:L]}, se.margins
+	return se.sc.sweep(ctx, se.ch, se.k, se.margins), se.margins
 }

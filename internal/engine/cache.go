@@ -25,11 +25,12 @@ import (
 // a cache hit is byte-identical to a miss, and answers are independent of
 // query arrival order, worker count, and eviction history.
 //
-// Ownership: each entry owns a private arena its samples live in. Entry
-// arenas are never Reset and never enter the engine's scratch pool, so a
-// query still evaluating against an entry that was just evicted keeps a
-// valid view — eviction only drops the cache's reference; the garbage
-// collector reclaims the arena when the last reader finishes.
+// Ownership: each entry owns its pool. populate samples into an arena of
+// its own and keeps only the finalized RR graphs, whose backing arrays no
+// other sampling ever writes, so a query still evaluating against an entry
+// that was just evicted keeps a valid view — eviction only drops the
+// cache's reference; the garbage collector reclaims the pool when the last
+// reader finishes.
 type sampleCache struct {
 	mu      sync.Mutex
 	max     int
@@ -65,7 +66,6 @@ type poolEntry struct {
 	mu        sync.Mutex
 	ready     bool
 	withdrawn bool // populate failed; entry is out of the map, never served
-	arena     *influence.Arena
 	rrs       []*influence.RRGraph
 	lastUse   uint64
 	// counted is the RR-graph count this entry contributed to the cache's
@@ -110,7 +110,7 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 		c.tick++
 		entry, ok := c.entries[key]
 		if !ok {
-			entry = &poolEntry{arena: influence.NewArena()}
+			entry = &poolEntry{}
 			c.entries[key] = entry
 			for i := c.evictLocked(key); i > 0; i-- {
 				rec.CountCacheEviction()
@@ -164,15 +164,12 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 	}
 }
 
-// populate samples the pool with per-item seeding into the entry's arena.
-// entry.mu is held by the caller.
+// populate samples the pool with per-item seeding into a fresh arena and
+// stores only its finalized RR graphs: the arena's build scratch (sample
+// spans, live edges, CSR cursors) dies with this call. A canceled attempt
+// drops its partial samples with the arena. entry.mu is held by the caller.
 func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, entry *poolEntry, count int) error {
-	// A canceled attempt leaves partial samples behind; entries are
-	// withdrawn on failure so no second attempt should ever reach a dirty
-	// arena, but a stale sample surviving here would silently corrupt the
-	// pool — reset rather than assume. Safe: nothing reads the arena
-	// before entry.ready is set.
-	entry.arena.Reset()
+	arena := influence.NewArena()
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 	src := graph.NewPCG(0)
 	smp := newArenaSampler(e.g, e.p.Model, rand.New(src))
@@ -186,10 +183,10 @@ func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, ent
 			}
 		}
 		graph.SeedPCG(src, graph.ItemSeed(base, i))
-		smp.RRGraphInto(entry.arena)
+		smp.RRGraphInto(arena)
 	}
 	span.EndItems(count)
-	entry.rrs = entry.arena.Finalize()
+	entry.rrs = arena.Finalize()
 	entry.ready = true
 	return nil
 }

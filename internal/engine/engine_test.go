@@ -383,8 +383,8 @@ func TestSampleCacheCanceledPopulateRetriesClean(t *testing.T) {
 	m := obs.NewQueryMetrics(reg)
 	rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(m, nil))
 
-	// First attempt: cancellation fires with PollEvery samples already in
-	// the entry's arena.
+	// First attempt: cancellation fires with PollEvery samples already
+	// drawn.
 	_, _, err := eng.cache.get(&cancelAfterErrs{Context: rctx, left: 1}, eng, predKey{}, count)
 	var ce *influence.CanceledError
 	if !errors.As(err, &ce) {

@@ -45,6 +45,9 @@ type Community struct {
 	Found bool
 	// FromIndex is true when the HIMOR index answered directly.
 	FromIndex bool
+	// Rank is q's influence rank within the community (1 = most
+	// influential); 0 when not found.
+	Rank int
 }
 
 // Discover finds the characteristic community of HIN node q (anchor type)
@@ -64,7 +67,7 @@ func (s *Searcher) Discover(q graph.NodeID, attr graph.AttrID) (Community, error
 	if err != nil {
 		return Community{}, err
 	}
-	out := Community{Found: com.Found, FromIndex: com.FromIndex}
+	out := Community{Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}
 	for _, lv := range com.Nodes {
 		out.Nodes = append(out.Nodes, s.proj.ToHIN[lv])
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +88,72 @@ func TestSinkRoundTripAndRotation(t *testing.T) {
 		if len(e.Steps) != 2 || e.Steps[1].Outcome != "cache_miss" {
 			t.Fatalf("event %d steps = %+v", i, e.Steps)
 		}
+	}
+}
+
+// A Record after Close drops its event and counts it; it must not panic
+// on the stopped writer, and a second Close is a no-op.
+func TestSinkRecordAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, SampleRate: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	s.Record(mkEvent(0))
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i := 1; i <= 3; i++ {
+		s.Record(mkEvent(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got := s.Stats(); got.Written != 1 || got.Dropped != 3 {
+		t.Fatalf("Stats = %+v, want Written=1 Dropped=3", got)
+	}
+	if got, _ := scanAll(t, dir); len(got) != 1 {
+		t.Fatalf("log holds %d events, want 1", len(got))
+	}
+}
+
+// Records racing Close never panic, and every event is accounted for:
+// written to the log or counted as dropped, never both and never lost.
+func TestSinkRecordRacingClose(t *testing.T) {
+	const writers, each = 4, 200
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, SampleRate: 1, QueueSize: 16})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				s.Record(mkEvent(w*each + i))
+			}
+		}(w)
+	}
+	close(start)
+	closeErr := s.Close()
+	wg.Wait()
+	if closeErr != nil {
+		t.Fatalf("Close: %v", closeErr)
+	}
+	got, st := scanAll(t, dir)
+	if st.Torn != 0 || st.Corrupt != 0 {
+		t.Fatalf("scan stats %+v, want a clean log", st)
+	}
+	stats := s.Stats()
+	if stats.Written != int64(len(got)) {
+		t.Fatalf("Written = %d, log holds %d events", stats.Written, len(got))
+	}
+	if total := stats.Written + stats.Dropped; total != writers*each {
+		t.Fatalf("Written %d + Dropped %d = %d, want %d", stats.Written, stats.Dropped, total, writers*each)
 	}
 }
 

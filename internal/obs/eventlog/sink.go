@@ -45,7 +45,7 @@ type Options struct {
 type Stats struct {
 	// Written counts events durably handed to the current file.
 	Written int64
-	// Dropped counts events lost to a full queue.
+	// Dropped counts events lost to a full queue or recorded after Close.
 	Dropped int64
 	// SampledOut counts OK events the deterministic sampler skipped.
 	SampledOut int64
@@ -59,12 +59,14 @@ type Stats struct {
 // events-XXXXXXXX.jsonl files. Each line is written in one Write call, so a
 // crash tears at most the final line — which Scan skips. A Sink opens a
 // fresh file per process (it never appends to a predecessor's possibly-torn
-// tail), syncs on rotation and on Close, and is safe for concurrent Record.
+// tail), syncs on rotation and on Close, and is safe for concurrent Record,
+// including Record racing or following Close.
 type Sink struct {
-	opts Options
-	ch   chan *Event
-	done chan struct{}
-	once sync.Once
+	opts   Options
+	ch     chan *Event // never closed; Close enqueues a nil end marker
+	done   chan struct{}
+	once   sync.Once
+	closed atomic.Bool
 
 	written    atomic.Int64
 	dropped    atomic.Int64
@@ -138,11 +140,15 @@ func (s *Sink) openNext() error {
 }
 
 // Record enqueues an event for asynchronous persistence, applying the
-// head/tail sampling rule first. It never blocks: a full queue drops the
-// event and counts the drop. Nil-safe — a nil Sink (logging disabled) costs
-// one branch.
+// head/tail sampling rule first. It never blocks and never panics: a full
+// queue, or a sink already closed, drops the event and counts the drop.
+// Nil-safe — a nil Sink (logging disabled) costs one branch.
 func (s *Sink) Record(e *Event) {
 	if s == nil || e == nil {
+		return
+	}
+	if s.closed.Load() {
+		s.dropped.Add(1)
 		return
 	}
 	if !Keep(e, s.opts.SampleRate) {
@@ -158,7 +164,7 @@ func (s *Sink) Record(e *Event) {
 
 func (s *Sink) run() {
 	defer close(s.done)
-	for e := range s.ch {
+	for e := <-s.ch; e != nil; e = <-s.ch {
 		s.write(e)
 	}
 	if s.cur != nil {
@@ -229,22 +235,36 @@ func (s *Sink) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
+	dropped := s.dropped.Load()
+	select {
+	case <-s.done:
+		// The writer has exited: a Record that raced Close past the end
+		// marker left its event queued, never to be written.
+		dropped += int64(len(s.ch))
+	default:
+	}
 	return Stats{
 		Written:    s.written.Load(),
-		Dropped:    s.dropped.Load(),
+		Dropped:    dropped,
 		SampledOut: s.sampledOut.Load(),
 		Rotations:  s.rotations.Load(),
 	}
 }
 
-// Close drains the queue, syncs the final file, and closes it. Record calls
-// racing Close may panic on the closed channel; stop producing first (the
-// serving shutdown sequence stops the listener before closing the sink).
+// Close writes every event queued before it, syncs the final file, and
+// closes it. It is safe to call more than once and while Record runs: a
+// Record that follows Close, or loses a race with it, drops its event and
+// counts it in Stats.Dropped. Stop producing first for a complete log (the
+// serving shutdown sequence drains in-flight queries before closing the
+// sink).
 func (s *Sink) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.once.Do(func() { close(s.ch) })
+	s.once.Do(func() {
+		s.closed.Store(true)
+		s.ch <- nil // end marker: the writer stops after everything queued ahead of it
+	})
 	<-s.done
 	return s.Err()
 }

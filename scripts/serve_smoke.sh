@@ -81,8 +81,11 @@ curl -sf -X POST -d '{"queries":[{"q":0,"attr":0},{"q":1,"attr":0}]}' "$base/bat
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/nope")
 [ "$code" = 404 ] || fail "unknown route returned $code"
 # Expression mode: the normalized expression must flow into the wide event
-# and the flight recorder.
-curl -sf "$base/discover?q=0%20and%20node%3D0" \
+# and the flight recorder. CODU keeps this query out of the traced query's
+# (CODL, attr:0, ok) aggregation group: a later query landing in the same
+# latency bucket would replace the traced query as that bucket's exemplar
+# and fail the exemplar check below.
+curl -sf "$base/discover?q=node%3D0%20and%20variant%3Dcodu" \
     | grep -q '"expr"' || fail "expression discover"
 echo "serve-smoke: endpoints ok"
 
