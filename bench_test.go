@@ -254,8 +254,9 @@ func BenchmarkLCA(b *testing.B) {
 }
 
 // BenchmarkCompressedEvaluate times Algorithm 1 the way the engine runs it:
-// one reused EvalScratch, an arena-built θ=10 pool over cora, and the chains
-// of 40 paper-protocol query nodes taken in turn.
+// one reused EvalScratch, a flat θ=10 pool over cora held as the sample
+// cache holds it (an exact-size Clone), and the chains of 40 paper-protocol
+// query nodes taken in turn.
 func BenchmarkCompressedEvaluate(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	t, err := hac.Cluster(g, hac.UnweightedAverage)
@@ -264,10 +265,11 @@ func BenchmarkCompressedEvaluate(b *testing.B) {
 	}
 	ctx := context.Background()
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(3))
-	rrs, err := influence.BatchIntoCtx(ctx, s, 10*g.N(), influence.NewArena())
+	pool, err := influence.BatchPoolCtx(ctx, s, 10*g.N(), influence.NewArena())
 	if err != nil {
 		b.Fatal(err)
 	}
+	pool = pool.Clone()
 	var chains []*core.Chain
 	for _, q := range dataset.Queries(g, 40, graph.NewRand(4)) {
 		chains = append(chains, core.ChainFromTree(t, q.Node))
@@ -275,7 +277,7 @@ func BenchmarkCompressedEvaluate(b *testing.B) {
 	sc := core.NewEvalScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompressedEvaluateScratchCtx(ctx, chains[i%len(chains)], rrs, 5, sc); err != nil {
+		if _, err := core.CompressedEvaluatePoolCtx(ctx, chains[i%len(chains)], pool, 5, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

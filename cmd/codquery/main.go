@@ -2,14 +2,18 @@
 // synthetic dataset and prints the characteristic community with its
 // quality measures.
 //
-// The -q flag accepts either a numeric node id (legacy single-attribute
-// mode, paired with -attr and -method) or a query expression in the
-// attribute-predicate DSL, which carries its own node= knob:
+// The -q flag accepts either a numeric node id, which runs CODL on the
+// single attribute -attr, or a query expression in the attribute-predicate
+// DSL, which carries its own node= knob and names any other variant with
+// variant=:
 //
 //	codquery -dataset cora -q 42 -attr 1 -k 5
-//	codquery -graph mygraph.txt -q 10 -attr 0 -method codr
+//	codquery -graph mygraph.txt -q '0 and node=10 and variant=codr'
 //	codquery -dataset cora -q 'Neural_Networks and (Theory or 4) and size>=10 and node=42'
 //	codquery -dataset tiny -q 'ML and node=5' -json
+//
+// The -method flag is retired: passing it fails with the expression that
+// replaces it.
 package main
 
 import (
@@ -37,7 +41,7 @@ func main() {
 	flag.IntVar(&o.k, "k", 5, "required influence rank k")
 	flag.IntVar(&o.theta, "theta", 10, "RR graphs per node (θ)")
 	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
-	flag.StringVar(&o.method, "method", "codl", "codl|codu|codr (numeric -q only; expressions use variant=)")
+	flag.Func("method", "retired: name the variant in a query expression (-q 'ATTR and node=N and variant=codr')", retiredMethod)
 	flag.BoolVar(&o.trace, "trace", false, "print the query's plan-step trace (trace ID, step outcomes, stage spans)")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the result as one JSON object (community, rank, trace id)")
 	timeout := flag.Duration("timeout", 0, "overall deadline for offline build + query (0 = none)")
@@ -77,7 +81,6 @@ type runOpts struct {
 	k         int
 	theta     int
 	seed      uint64
-	method    string
 	trace     bool
 	jsonOut   bool
 	adaptive  cod.AdaptiveOptions
@@ -177,11 +180,6 @@ func run(ctx context.Context, o runOpts) error {
 			}
 			attr = int(attrs[0])
 		}
-		switch o.method {
-		case "codl", "codu", "codr":
-		default:
-			return fmt.Errorf("unknown method %q", o.method)
-		}
 	}
 
 	if !o.jsonOut {
@@ -197,7 +195,7 @@ func run(ctx context.Context, o runOpts) error {
 			time.Since(start).Round(time.Millisecond), float64(s.IndexBytes())/(1<<20))
 	}
 
-	method, expr := o.method, ""
+	method, expr := "codl", ""
 	var pq *cod.PreparedQuery
 	node := cod.NodeID(nodeArg)
 	if !legacy {
@@ -229,21 +227,14 @@ func run(ctx context.Context, o runOpts) error {
 	if pq != nil {
 		com, err = pq.DiscoverCtx(qctx, node)
 	} else {
-		switch method {
-		case "codl":
-			com, err = s.DiscoverCtx(qctx, node, cod.AttrID(attr))
-		case "codu":
-			com, err = s.DiscoverUnattributedCtx(qctx, node)
-		case "codr":
-			com, err = s.DiscoverGlobalCtx(qctx, node, cod.AttrID(attr))
-		}
+		com, err = s.DiscoverCtx(qctx, node, cod.AttrID(attr))
 	}
 	elapsed := time.Since(start)
 	if o.trace && tr != nil {
 		fmt.Fprintln(out, "query trace:")
 		ev := eventlog.New(tr, "codquery", start, elapsed, 0)
 		ev.Expr, ev.Node = expr, int64(node)
-		if expr == "" && method != "codu" {
+		if expr == "" {
 			ev.Attr, ev.Pred = int64(attr), "attr:"+strconv.Itoa(attr)
 		}
 		if err != nil {
@@ -313,6 +304,19 @@ func run(ctx context.Context, o runOpts) error {
 		fmt.Fprintf(out, "  members: %v\n", com.Nodes)
 	}
 	return nil
+}
+
+// retiredMethod rejects the retired -method flag, naming the query
+// expression that picks the variant instead.
+func retiredMethod(v string) error {
+	expr := "ATTR and node=N and variant=codr"
+	switch v {
+	case "codl", "codr":
+		expr = "ATTR and node=N and variant=" + v
+	case "codu":
+		expr = "node=N and variant=codu"
+	}
+	return fmt.Errorf("-method is retired; name the variant in a query expression instead, e.g. -q '%s'", expr)
 }
 
 func toLowerASCII(s string) string {

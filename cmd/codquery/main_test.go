@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,21 +18,48 @@ import (
 // opts builds a runOpts with the defaults the tests share; tests override
 // fields inline.
 func opts(q string) runOpts {
-	return runOpts{dataset: "tiny", query: q, attr: -1, k: 5, theta: 3, seed: 7, method: "codl"}
+	return runOpts{dataset: "tiny", query: q, attr: -1, k: 5, theta: 3, seed: 7}
 }
 
 func TestRunOnBuiltinDataset(t *testing.T) {
 	if err := run(context.Background(), opts("5")); err != nil {
 		t.Fatalf("codl run: %v", err)
 	}
-	o := opts("5")
-	o.attr, o.method = 0, "codu"
-	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("codu run: %v", err)
+	for variant, expr := range map[string]string{
+		"codu": "node=5 and variant=codu",
+		"codr": "0 and node=5 and variant=codr",
+	} {
+		var buf bytes.Buffer
+		o := opts(expr)
+		o.jsonOut, o.out = true, &buf
+		if err := run(context.Background(), o); err != nil {
+			t.Fatalf("%s run: %v", variant, err)
+		}
+		var res jsonResult
+		if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+			t.Fatalf("%s: bad json: %v\n%s", variant, err, buf.String())
+		}
+		if res.Method != variant {
+			t.Errorf("json method = %q, want the plan's variant %q", res.Method, variant)
+		}
 	}
-	o.method = "codr"
-	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("codr run: %v", err)
+}
+
+// TestMethodFlagRetired locks the retirement of -method: passing it, with
+// any value, fails at flag parsing with the expression that replaces it.
+func TestMethodFlagRetired(t *testing.T) {
+	for _, v := range []string{"codr", "codu", "codl", "", "warp"} {
+		fs := flag.NewFlagSet("codquery", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Func("method", "", retiredMethod)
+		err := fs.Parse([]string{"-method", v, "-q", "5"})
+		want := "node=N and variant="
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-method %q: parse error %v, want one naming %q", v, err, want)
+		}
+	}
+	if err := retiredMethod("codu"); !strings.Contains(err.Error(), "'node=N and variant=codu'") {
+		t.Errorf("retiredMethod(codu) = %v, want the codu expression", err)
 	}
 }
 
@@ -134,10 +163,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), opts("10000")); err == nil {
 		t.Error("out-of-range query node accepted")
 	}
-	o = opts("5")
-	o.attr, o.method = 0, "warp"
-	if err := run(context.Background(), o); err == nil {
-		t.Error("unknown method accepted")
+	if err := run(context.Background(), opts("0 and node=5 and variant=warp")); err == nil {
+		t.Error("unknown variant accepted")
 	}
 	o = opts("0")
 	o.graphFile = filepath.Join(t.TempDir(), "absent.txt")
@@ -153,7 +180,7 @@ func TestRunOnGraphFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := runOpts{graphFile: path, query: "0", attr: 0, k: 2, theta: 20, seed: 1, method: "codl"}
+	o := runOpts{graphFile: path, query: "0", attr: 0, k: 2, theta: 20, seed: 1}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatalf("graph file run: %v", err)
 	}
@@ -178,8 +205,8 @@ func TestRunTimeoutSurfacesCancellation(t *testing.T) {
 		o    runOpts
 	}{
 		{"codl", opts("5")},
-		{"codu", func() runOpts { o := opts("5"); o.attr, o.method = 0, "codu"; return o }()},
-		{"codr", func() runOpts { o := opts("5"); o.attr, o.method = 0, "codr"; return o }()},
+		{"codu", opts("node=5 and variant=codu")},
+		{"codr", opts("0 and node=5 and variant=codr")},
 		{"expr", opts("ML and node=5")},
 	} {
 		err := run(ctx, tc.o)

@@ -194,17 +194,15 @@ func communitiesEqual(a, b engine.Community) bool {
 // sees exactly the pool the exact engine evaluated.
 func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p engine.Params, variant engine.Variant, q dataset.Query, seed uint64, level int) (float64, error) {
 	var ch *core.Chain
-	var rrs []*influence.RRGraph
+	a := influence.NewArena()
 	rng := graph.NewRand(seed)
 	switch variant {
 	case engine.VariantCODU:
 		ch = core.ChainFromTree(eng.Tree(), q.Node)
 		s := engine.NewGraphSampler(g, p.Model, rng)
-		pool, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
-		if err != nil {
+		if _, err := influence.BatchPoolCtx(ctx, s, p.Theta*g.N(), a); err != nil {
 			return 0, err
 		}
-		rrs = pool
 	case engine.VariantCODL:
 		rec, err := core.LoreCtx(ctx, g, eng.Tree(), q.Node, q.Attr, p.Beta, p.Linkage)
 		if err != nil {
@@ -218,16 +216,15 @@ func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p en
 		}
 		member := func(u graph.NodeID) bool { return in[u] }
 		s := engine.NewGraphSampler(g, p.Model, rng)
-		total := p.Theta * len(members)
-		rrs = make([]*influence.RRGraph, 0, total)
-		for i := 0; i < total; i++ {
-			rrs = append(rrs, s.RRGraphWithin(members[rng.IntN(len(members))], member))
+		for i := 0; i < p.Theta*len(members); i++ {
+			s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
 		}
 	default:
 		return 0, fmt.Errorf("accuracy: margin replay for unsupported variant %v", variant)
 	}
+	pool := a.Pool()
 	se := core.NewStagedEval(ch, p.K, nil)
-	if err := se.Fold(ctx, rrs); err != nil {
+	if err := se.Fold(ctx, pool); err != nil {
 		return 0, err
 	}
 	_, margins := se.Sweep(ctx)
@@ -236,7 +233,7 @@ func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p en
 		// smallest decisive margin, the conservative choice.
 		gap := math.Inf(1)
 		for _, m := range margins {
-			if mh := math.Abs(float64(m.QCount-m.Boundary)) / float64(len(rrs)); mh < gap {
+			if mh := math.Abs(float64(m.QCount-m.Boundary)) / float64(pool.Len()); mh < gap {
 				gap = mh
 			}
 		}
@@ -246,5 +243,5 @@ func exactMarginAt(ctx context.Context, g *graph.Graph, eng *engine.Engine, p en
 		return gap, nil
 	}
 	m := margins[level]
-	return math.Abs(float64(m.QCount-m.Boundary)) / float64(len(rrs)), nil
+	return math.Abs(float64(m.QCount-m.Boundary)) / float64(pool.Len()), nil
 }

@@ -12,3 +12,7 @@ func View(a *arenaescapefix.Arena) []int { return a.Ints(3) }
 
 // Done releases the caller's arena.
 func Done(a *arenaescapefix.Arena) { a.Release() }
+
+// PoolView transfers ownership of a struct view to the caller: returning
+// it without a release earns an OwnedResult fact.
+func PoolView(a *arenaescapefix.Arena) arenaescapefix.Pool { return a.Pool() }

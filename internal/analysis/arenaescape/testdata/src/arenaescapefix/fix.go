@@ -20,5 +20,16 @@ func (a *Arena) Ints(n int) []int {
 	return a.buf[start:]
 }
 
+// Pool is a struct view of the backing array, like influence.Pool: no
+// pointer of its own, but a slice field that aliases the arena.
+type Pool struct {
+	ints []int
+	n    int
+}
+
+// Pool returns the arena's contents as a struct view; it dies at the next
+// Release like any slice view.
+func (a *Arena) Pool() Pool { return Pool{ints: a.buf, n: len(a.buf)} }
+
 // Release recycles the backing storage.
 func (a *Arena) Release() { a.buf = a.buf[:0] }

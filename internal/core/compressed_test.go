@@ -481,35 +481,49 @@ func denseCases(t *testing.T) []denseCase {
 
 // The dense fold and sweep must reproduce the map-based evaluation's full
 // result — level, q's count, bucket entries, per-level decisions and ranks —
-// on every case, with one scratch reused across all of them.
+// on every case, over the flat pool and over the []*RRGraph lowering, with
+// one scratch reused across all of them.
 func TestDenseEvalMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	sc := NewEvalScratch()
 	for _, c := range denseCases(t) {
+		pool := influence.PoolOf(c.rrs)
 		for _, k := range []int{1, 3, 5} {
 			want, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, newLegacyEvalScratch())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, sc)
+			got, err := CompressedEvaluatePoolCtx(ctx, c.ch, pool, k, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Errorf("%s k=%d: dense %+v, map-based %+v", c.name, k, got, want)
+				t.Errorf("%s k=%d: pool %+v, map-based %+v", c.name, k, got, want)
+			}
+			got, err = CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s k=%d: lowering %+v, map-based %+v", c.name, k, got, want)
 			}
 		}
 	}
 }
 
-// StagedEval must reproduce the map-based staged evaluation stage by stage:
-// the result and every level's margin. The 12-sample pools must produce
-// count ties at the rank-k boundary, or the tie-break goes unchecked.
+// StagedEval must reproduce the map-based staged evaluation stage by stage
+// over pool prefixes: the result and every level's margin. At each prefix
+// the non-staged evaluation, over the prefix pool and over the lowering of
+// the prefix's RR graphs, must match the map-based one too. The 12-sample
+// pools must produce count ties at the rank-k boundary, or the tie-break
+// goes unchecked.
 func TestDenseStagedMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	sc := NewEvalScratch()
+	flat := NewEvalScratch()
 	ties := 0
 	for _, c := range denseCases(t) {
+		pool := influence.PoolOf(c.rrs)
 		for _, k := range []int{1, 3, 5} {
 			ref := newLegacyStagedEval(c.ch, k, nil)
 			se := NewStagedEval(c.ch, k, sc)
@@ -518,7 +532,7 @@ func TestDenseStagedMatchesLegacy(t *testing.T) {
 				if err := ref.Fold(ctx, c.rrs[:cum]); err != nil {
 					t.Fatal(err)
 				}
-				if err := se.Fold(ctx, c.rrs[:cum]); err != nil {
+				if err := se.Fold(ctx, pool.Prefix(cum)); err != nil {
 					t.Fatal(err)
 				}
 				want, wantM := ref.Sweep(ctx)
@@ -531,6 +545,16 @@ func TestDenseStagedMatchesLegacy(t *testing.T) {
 					if m.Boundary > 0 && m.QCount == m.Boundary {
 						ties++
 					}
+				}
+				whole, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, c.rrs[:cum], k, newLegacyEvalScratch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := CompressedEvaluatePoolCtx(ctx, c.ch, pool.Prefix(cum), k, flat); err != nil || !got.Equal(whole) {
+					t.Fatalf("%s k=%d cum=%d: prefix pool %+v (err %v), map-based %+v", c.name, k, cum, got, err, whole)
+				}
+				if got, err := CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs[:cum], k, flat); err != nil || !got.Equal(whole) {
+					t.Fatalf("%s k=%d cum=%d: prefix lowering %+v (err %v), map-based %+v", c.name, k, cum, got, err, whole)
 				}
 			}
 		}
@@ -554,6 +578,15 @@ func TestCompressedEvaluateScratchAllocs(t *testing.T) {
 	eval()
 	if n := testing.AllocsPerRun(20, eval); n > 0 {
 		t.Errorf("warm evaluation allocated %v objects, want 0", n)
+	}
+	pool := influence.PoolOf(rrs)
+	evalPool := func() {
+		if _, err := CompressedEvaluatePoolCtx(ctx, ch, pool, 3, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, evalPool); n > 0 {
+		t.Errorf("warm pool evaluation allocated %v objects, want 0", n)
 	}
 }
 

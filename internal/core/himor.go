@@ -40,57 +40,51 @@ func BuildHimor(g *graph.Graph, t *hier.Tree, model influence.Model, theta int, 
 	return BuildHimorWithSampler(g, t, influence.NewSampler(g, model, rng), theta)
 }
 
-// BuildHimorWithSampler constructs the HIMOR index from any RR-graph
-// sampler (IC, LT, ...), using Θ = theta·|V| samples.
-func BuildHimorWithSampler(g *graph.Graph, t *hier.Tree, sampler influence.GraphSampler, theta int) *Himor {
-	return buildHimor(g, t, theta, func() *influence.RRGraph { return sampler.RRGraph() })
+// BuildHimorWithSampler constructs the HIMOR index from any arena-writing
+// RR-graph sampler (IC, LT, ...), using Θ = theta·|V| samples.
+func BuildHimorWithSampler(g *graph.Graph, t *hier.Tree, sampler influence.ArenaSampler, theta int) *Himor {
+	h, _ := BuildHimorWithSamplerCtx(context.Background(), g, t, sampler, theta)
+	return h
 }
 
 // BuildHimorWithSamplerCtx is BuildHimorWithSampler with cancellation: the
-// sampling runs through influence.BatchCtx, which polls ctx.Err() at a
+// sampling runs through influence.BatchPoolCtx, which polls ctx.Err() at a
 // bounded interval. Uncancelled builds are identical.
-func BuildHimorWithSamplerCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, sampler influence.GraphSampler, theta int) (*Himor, error) {
-	pool, err := influence.BatchCtx(ctx, sampler, theta*g.N())
+func BuildHimorWithSamplerCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, sampler influence.ArenaSampler, theta int) (*Himor, error) {
+	pool, err := influence.BatchPoolCtx(ctx, sampler, theta*g.N(), influence.NewArena())
 	if err != nil {
 		return nil, err
 	}
 	span := obs.FromContext(ctx).StartSpan(obs.StageHimorBuild)
-	i := 0
-	h := buildHimor(g, t, theta, func() *influence.RRGraph {
-		r := pool[i]
-		i++
-		return r
-	})
-	span.EndItems(len(pool))
+	h := buildHimor(g, t, theta, pool)
+	span.EndItems(pool.Len())
 	return h, nil
 }
 
 // BuildHimorParallelCtx constructs the index from an RR pool sampled across
 // workers goroutines under the IC model (sampling dominates construction
 // cost, so parallelizing it captures most of the speedup; the HFS and
-// bottom-up merge stay single-threaded and deterministic). Each pool sample
-// is seeded from its index, so the index is byte-identical for any workers.
-// Every sampling worker polls ctx.Err() at a bounded interval (see
-// influence.ParallelBatchCtx), so shutdown can abandon a warmup in flight.
+// bottom-up merge stay single-threaded and deterministic). Each worker
+// samples a contiguous index range into an arena of its own, and the
+// arenas are joined in index order; every sample is seeded from its index,
+// so the index is byte-identical for any workers. Every sampling worker
+// polls ctx.Err() at a bounded interval and is joined before the build
+// returns (see influence.ParallelBatchCtx), so shutdown can abandon a
+// warmup in flight.
 func BuildHimorParallelCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, model influence.Model, theta int, seed uint64, workers int) (*Himor, error) {
 	pool, err := influence.ParallelBatchCtx(ctx, g, model, theta*g.N(), seed, workers)
 	if err != nil {
 		return nil, err
 	}
 	span := obs.FromContext(ctx).StartSpan(obs.StageHimorBuild)
-	i := 0
-	h := buildHimor(g, t, theta, func() *influence.RRGraph {
-		r := pool[i]
-		i++
-		return r
-	})
-	span.EndItems(len(pool))
+	h := buildHimor(g, t, theta, pool)
+	span.EndItems(pool.Len())
 	return h, nil
 }
 
-// buildHimor runs the compressed construction, drawing Θ = theta·|V| RR
-// graphs from next().
-func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.RRGraph) *Himor {
+// buildHimor runs the compressed construction over pool, which holds
+// Θ = theta·|V| RR graphs.
+func buildHimor(g *graph.Graph, t *hier.Tree, theta int, pool influence.Pool) *Himor {
 	n := g.N()
 	h := &Himor{t: t, theta: theta}
 	h.rank = make([][]int32, n)
@@ -108,12 +102,11 @@ func buildHimor(g *graph.Graph, t *hier.Tree, theta int, next func() *influence.
 	// form the ancestor chain of leaf(s), so the traversal is exactly the
 	// chain HFS of Algorithm 1 with buckets living on tree vertices.
 	buckets := make([]map[graph.NodeID]int32, t.NumVertices())
-	theta0 := theta * n
 	queues := make([][]int32, 0, 64)
 	var chainVerts []hier.Vertex
 	var visited []bool
-	for i := 0; i < theta0; i++ {
-		r := next()
+	for i := 0; i < pool.Len(); i++ {
+		r := pool.Sample(i)
 		src := r.Source()
 		leafSrc := t.LeafOf(src)
 		chainVerts = chainVerts[:0]

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -125,6 +128,10 @@ func TestHimorZeroCountNodeRank(t *testing.T) {
 	}
 }
 
+// The parallel build samples per-worker arenas and joins them in index
+// order; for every worker count its index must equal one built from the
+// same per-item-seeded samples drawn one by one with the allocating
+// sampler, and so must the joined pool itself.
 func TestHimorParallelMatchesPool(t *testing.T) {
 	g := graph.ErdosRenyi(30, 90, graph.NewRand(90))
 	tr, err := hac.Cluster(g, hac.UnweightedAverage)
@@ -132,22 +139,55 @@ func TestHimorParallelMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := influence.NewWeightedCascade(g)
-	idx, err := BuildHimorParallelCtx(context.Background(), g, tr, model, 4, 91, 4)
+	src := graph.NewPCG(0)
+	s := influence.NewSampler(g, model, rand.New(src))
+	var rrs []*influence.RRGraph
+	for i := 0; i < 4*g.N(); i++ {
+		graph.SeedPCG(src, graph.ItemSeed(91, i))
+		rrs = append(rrs, s.RRGraph())
+	}
+	ref := buildHimor(g, tr, 4, influence.PoolOf(rrs))
+	for workers := 1; workers <= 4; workers++ {
+		pool := influence.ParallelBatch(g, model, 4*g.N(), 91, workers)
+		if pool.Len() != len(rrs) {
+			t.Fatalf("workers=%d: joined pool has %d samples, want %d", workers, pool.Len(), len(rrs))
+		}
+		for i, r := range rrs {
+			got := pool.Sample(i)
+			if !slices.Equal(got.Nodes, r.Nodes) || !slices.Equal(got.Off, r.Off) || !slices.Equal(got.Adj, r.Adj) {
+				t.Fatalf("workers=%d: joined sample %d differs from the sequential one", workers, i)
+			}
+		}
+		idx, err := BuildHimorParallelCtx(context.Background(), g, tr, model, 4, 91, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := graph.NodeID(0); int(q) < g.N(); q++ {
+			for _, v := range tr.Ancestors(tr.LeafOf(q)) {
+				if idx.Rank(q, v) != ref.Rank(q, v) {
+					t.Fatalf("workers=%d: parallel rank differs at q=%d v=%d", workers, q, v)
+				}
+			}
+		}
+		if idx.ApproxBytes() != ref.ApproxBytes() {
+			t.Errorf("workers=%d: sizes differ", workers)
+		}
+	}
+}
+
+// A canceled parallel build returns the sampler's *CanceledError, with
+// every worker joined before it returns.
+func TestHimorParallelCanceled(t *testing.T) {
+	g := graph.ErdosRenyi(30, 90, graph.NewRand(92))
+	tr, err := hac.Cluster(g, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference from the identical pool, consumed in the same order.
-	pool := influence.ParallelBatch(g, model, 4*g.N(), 91, 4)
-	i := 0
-	ref := buildHimor(g, tr, 4, func() *influence.RRGraph { r := pool[i]; i++; return r })
-	for q := graph.NodeID(0); int(q) < g.N(); q++ {
-		for _, v := range tr.Ancestors(tr.LeafOf(q)) {
-			if idx.Rank(q, v) != ref.Rank(q, v) {
-				t.Fatalf("parallel rank differs at q=%d v=%d", q, v)
-			}
-		}
-	}
-	if idx.ApproxBytes() != ref.ApproxBytes() {
-		t.Error("sizes differ")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	idx, err := BuildHimorParallelCtx(ctx, g, tr, influence.NewWeightedCascade(g), 4, 93, 3)
+	var ce *influence.CanceledError
+	if idx != nil || !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled build = %v, %v; want nil and a *CanceledError", idx, err)
 	}
 }

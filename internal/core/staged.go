@@ -57,14 +57,16 @@ func NewStagedEval(ch *Chain, k int, sc *EvalScratch) *StagedEval {
 // Folded returns the number of RR graphs folded so far.
 func (se *StagedEval) Folded() int { return se.folded }
 
-// Fold folds rrs[Folded():] — the samples added since the previous call —
-// into the accumulated buckets. Passing the whole (grown) pool every stage
-// is the intended calling convention: already-folded prefixes are skipped.
-// The fold polls ctx once per influence.PollEvery RR graphs and stops with
-// a *influence.CanceledError counting the RR graphs folded in so far.
-func (se *StagedEval) Fold(ctx context.Context, rrs []*influence.RRGraph) error {
+// Fold folds the samples of pool past Folded() — those added since the
+// previous call — into the accumulated buckets. Passing the whole (grown)
+// pool every stage is the intended calling convention: already-folded
+// prefixes are skipped, so a stage that is a prefix of a resident pool
+// folds only its new suffix. The fold polls ctx once per
+// influence.PollEvery samples and stops with a *influence.CanceledError
+// counting the samples folded in so far.
+func (se *StagedEval) Fold(ctx context.Context, pool influence.Pool) error {
 	var err error
-	se.folded, err = se.sc.fold(ctx, se.ch, rrs, se.folded)
+	se.folded, err = se.sc.fold(ctx, se.ch, pool, se.folded)
 	return err
 }
 

@@ -34,11 +34,12 @@ func TestStagedMatchesCompressed(t *testing.T) {
 		ch, rrs := stagedChain(t, seed, 40, 110, 400)
 		for _, k := range []int{1, 2, 5} {
 			want := CompressedEvaluate(ch, rrs, k)
+			pool := influence.PoolOf(rrs)
 			se := NewStagedEval(ch, k, nil)
 			var res EvalResult
 			var margins []LevelMargin
 			for _, cum := range []int{50, 100, 200, 400} {
-				if err := se.Fold(ctx, rrs[:cum]); err != nil {
+				if err := se.Fold(ctx, pool.Prefix(cum)); err != nil {
 					t.Fatal(err)
 				}
 				res, margins = se.Sweep(ctx)
@@ -72,12 +73,13 @@ func TestStagedMatchesCompressed(t *testing.T) {
 func TestStagedFoldIdempotent(t *testing.T) {
 	ctx := context.Background()
 	ch, rrs := stagedChain(t, 3, 30, 70, 200)
+	pool := influence.PoolOf(rrs)
 	se := NewStagedEval(ch, 2, nil)
-	if err := se.Fold(ctx, rrs); err != nil {
+	if err := se.Fold(ctx, pool); err != nil {
 		t.Fatal(err)
 	}
 	res1, _ := se.Sweep(ctx)
-	if err := se.Fold(ctx, rrs); err != nil {
+	if err := se.Fold(ctx, pool); err != nil {
 		t.Fatal(err)
 	}
 	res2, _ := se.Sweep(ctx)
@@ -97,7 +99,7 @@ func TestStagedMarginsConsistent(t *testing.T) {
 	for seed := uint64(10); seed < 14; seed++ {
 		ch, rrs := stagedChain(t, seed, 36, 90, 300)
 		se := NewStagedEval(ch, 3, nil)
-		if err := se.Fold(ctx, rrs); err != nil {
+		if err := se.Fold(ctx, influence.PoolOf(rrs)); err != nil {
 			t.Fatal(err)
 		}
 		_, margins := se.Sweep(ctx)
@@ -116,10 +118,11 @@ func TestStagedMarginsConsistent(t *testing.T) {
 // can resume cleanly once the context pressure is gone.
 func TestStagedFoldCanceled(t *testing.T) {
 	ch, rrs := stagedChain(t, 5, 30, 70, 200)
+	pool := influence.PoolOf(rrs)
 	se := NewStagedEval(ch, 2, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := se.Fold(ctx, rrs)
+	err := se.Fold(ctx, pool)
 	var ce *influence.CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *influence.CanceledError", err)
@@ -131,7 +134,7 @@ func TestStagedFoldCanceled(t *testing.T) {
 		t.Fatalf("err does not unwrap to context.Canceled: %v", err)
 	}
 	// Resume on a live context: the result must equal the non-staged one.
-	if err := se.Fold(context.Background(), rrs); err != nil {
+	if err := se.Fold(context.Background(), pool); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := se.Sweep(context.Background())

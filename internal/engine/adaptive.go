@@ -154,10 +154,10 @@ func minGap(margins []core.LevelMargin, best, t int) float64 {
 }
 
 // stagedDraw extends the RR pool to cum cumulative samples and returns the
-// full pool so far. Implementations must draw sample i identically to the
-// non-staged path's i-th draw, so a run that reaches the final stage holds
-// exactly the full-budget pool.
-type stagedDraw func(ctx context.Context, cum int) ([]*influence.RRGraph, error)
+// full pool so far; each stage's pool is a prefix of the next. Implementations
+// must draw sample i identically to the non-staged path's i-th draw, so a
+// run that reaches the final stage holds exactly the full-budget pool.
+type stagedDraw func(ctx context.Context, cum int) (influence.Pool, error)
 
 // runStaged is the fused sample+evaluate loop of an adaptive plan: it grows
 // the pool per the stage schedule, folds each stage's new samples into a
@@ -181,11 +181,11 @@ func (e *Engine) runStaged(ctx context.Context, pl *Plan, step Step, sc *querySc
 	se := core.NewStagedEval(st.ch, pl.K, sc.eval)
 	sched := stageSchedule(total, ad.Stages)
 	for si, cum := range sched {
-		rrs, err := draw(ctx, cum)
+		pool, err := draw(ctx, cum)
 		if err != nil {
 			return errOutcome(err), si, 0, err
 		}
-		if err := se.Fold(ctx, rrs); err != nil {
+		if err := se.Fold(ctx, pool); err != nil {
 			return errOutcome(err), si, 0, err
 		}
 		res, margins := se.Sweep(ctx)
@@ -221,21 +221,21 @@ func (e *Engine) stagedRestricted(sc *queryScratch, rec *core.Reclustering, rng 
 	member := func(u graph.NodeID) bool { return in[u] }
 	total := e.p.Theta * len(members)
 	drawn := 0
-	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
+	return total, func(ctx context.Context, cum int) (influence.Pool, error) {
 		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 		start := drawn
 		for ; drawn < cum; drawn++ {
 			if drawn%influence.PollEvery == 0 {
 				if err := ctx.Err(); err != nil {
 					span.EndItems(drawn - start)
-					return nil, &influence.CanceledError{
+					return influence.Pool{}, &influence.CanceledError{
 						Op: "engine: restricted rr sampling", Done: drawn, Total: total, Cause: err}
 				}
 			}
 			sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
 		}
 		span.EndItems(drawn - start)
-		return sc.arena.Finalize(), nil
+		return sc.arena.Pool(), nil
 	}
 }
 
@@ -244,37 +244,37 @@ func (e *Engine) stagedRestricted(sc *queryScratch, rec *core.Reclustering, rng 
 // — its content is already a pure function of the key — and stages evaluate
 // growing prefixes of it; without a cache, stages continue the query-rng
 // sampling loop exactly where the previous stage paused, matching the
-// influence.BatchIntoCtx draw order.
+// influence.BatchPoolCtx draw order.
 func (e *Engine) stagedShared(sc *queryScratch, pk predKey) (int, stagedDraw) {
 	total := e.p.Theta * e.g.N()
 	if e.cache != nil {
-		var pool []*influence.RRGraph
-		return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
-			if pool == nil {
-				rrs, _, err := e.cache.get(ctx, e, pk, total)
+		var pool influence.Pool
+		return total, func(ctx context.Context, cum int) (influence.Pool, error) {
+			if pool.Len() == 0 {
+				p, _, err := e.cache.get(ctx, e, pk, total, sc.arena)
 				if err != nil {
-					return nil, err
+					return influence.Pool{}, err
 				}
-				pool = rrs
+				pool = p
 			}
-			return pool[:cum], nil
+			return pool.Prefix(cum), nil
 		}
 	}
 	drawn := 0
-	return total, func(ctx context.Context, cum int) ([]*influence.RRGraph, error) {
+	return total, func(ctx context.Context, cum int) (influence.Pool, error) {
 		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 		start := drawn
 		for ; drawn < cum; drawn++ {
 			if drawn%influence.PollEvery == 0 {
 				if err := ctx.Err(); err != nil {
 					span.EndItems(drawn - start)
-					return nil, &influence.CanceledError{
+					return influence.Pool{}, &influence.CanceledError{
 						Op: "influence: rr batch", Done: drawn, Total: total, Cause: err}
 				}
 			}
 			sc.sampler.RRGraphInto(sc.arena)
 		}
 		span.EndItems(drawn - start)
-		return sc.arena.Finalize(), nil
+		return sc.arena.Pool(), nil
 	}
 }

@@ -211,12 +211,12 @@ func exactMargins(t *testing.T, g *graph.Graph, tree *hier.Tree, p Params, q gra
 	ch := core.ChainFromTree(tree, q)
 	s := NewGraphSampler(g, p.Model, graph.NewRand(seed))
 	total := p.Theta * g.N()
-	rrs, err := influence.BatchCtx(context.Background(), s, total)
+	pool, err := influence.BatchPoolCtx(context.Background(), s, total, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
 	se := core.NewStagedEval(ch, p.K, nil)
-	if err := se.Fold(context.Background(), rrs); err != nil {
+	if err := se.Fold(context.Background(), pool); err != nil {
 		t.Fatal(err)
 	}
 	_, margins := se.Sweep(context.Background())

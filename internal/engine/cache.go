@@ -25,12 +25,14 @@ import (
 // a cache hit is byte-identical to a miss, and answers are independent of
 // query arrival order, worker count, and eviction history.
 //
-// Ownership: each entry owns its pool. populate samples into an arena of
-// its own and keeps only the finalized RR graphs, whose backing arrays no
-// other sampling ever writes, so a query still evaluating against an entry
-// that was just evicted keeps a valid view — eviction only drops the
-// cache's reference; the garbage collector reclaims the pool when the last
-// reader finishes.
+// Ownership: each entry owns its pool, one compact influence.Pool. populate
+// samples through the populating query's scratch arena and keeps an
+// exact-size Clone of it, whose arrays no other sampling ever writes, so a
+// query still evaluating against an entry that was just evicted keeps a
+// valid view — eviction only drops the cache's reference; the garbage
+// collector reclaims the pool when the last reader finishes. A resident
+// pool is four arrays with no per-sample header or pointer, so the
+// collector has nothing inside it to scan.
 type sampleCache struct {
 	mu      sync.Mutex
 	max     int
@@ -66,7 +68,7 @@ type poolEntry struct {
 	mu        sync.Mutex
 	ready     bool
 	withdrawn bool // populate failed; entry is out of the map, never served
-	rrs       []*influence.RRGraph
+	pool      influence.Pool
 	lastUse   uint64
 	// counted is the RR-graph count this entry contributed to the cache's
 	// occupancy gauges, 0 if never accounted (still populating, withdrawn,
@@ -94,14 +96,15 @@ func poolSeed(seed uint64, pk predKey, epoch uint64) uint64 {
 }
 
 // get returns the pool for attr at the engine's current epoch, sampling it
-// on first use, and reports whether the request was a hit (served from an
+// on first use through arena (the caller's scratch arena, which a miss
+// Resets), and reports whether the request was a hit (served from an
 // already-populated entry). Concurrent callers for one key block on the
 // entry while a single populator samples; they then share the pool (a
 // hit). A canceled population withdraws its entry from the cache before any
 // waiter can see it, so no partial pool is ever served or built upon:
 // waiters that were blocked on a withdrawn entry loop back to the map and
 // converge on the single live replacement entry.
-func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int) ([]*influence.RRGraph, bool, error) {
+func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int, arena *influence.Arena) (influence.Pool, bool, error) {
 	rec := obs.FromContext(ctx)
 	key := cacheKey{pred: pk, epoch: e.epoch.Load()}
 
@@ -123,7 +126,7 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 		if entry.ready {
 			entry.mu.Unlock()
 			rec.CountCacheHit()
-			return entry.rrs, true, nil
+			return entry.pool, true, nil
 		}
 		if entry.withdrawn {
 			// The populator we were waiting on failed and pulled this entry
@@ -134,7 +137,7 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 			continue
 		}
 		rec.CountCacheMiss()
-		err := c.populate(ctx, e, key, entry, count)
+		err := c.populate(ctx, e, key, entry, count, arena)
 		if err == nil {
 			// Account occupancy while entry.mu pins ready=true: the entry
 			// counts only if it is still the published one (an eviction racing
@@ -142,13 +145,13 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 			// c.mu under entry.mu follows the documented lock order.
 			c.mu.Lock()
 			if c.entries[key] == entry {
-				entry.counted = int64(len(entry.rrs))
+				entry.counted = int64(entry.pool.Len())
 				c.pools++
 				c.rrgraphs += entry.counted
 			}
 			c.mu.Unlock()
 			entry.mu.Unlock()
-			return entry.rrs, false, nil
+			return entry.pool, false, nil
 		}
 		// Withdraw before releasing entry.mu: waiters must never observe a
 		// failed entry that is both unpopulated and still published.
@@ -160,16 +163,18 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int)
 		c.mu.Unlock()
 		entry.withdrawn = true
 		entry.mu.Unlock()
-		return nil, false, err
+		return influence.Pool{}, false, err
 	}
 }
 
-// populate samples the pool with per-item seeding into a fresh arena and
-// stores only its finalized RR graphs: the arena's build scratch (sample
-// spans, live edges, CSR cursors) dies with this call. A canceled attempt
-// drops its partial samples with the arena. entry.mu is held by the caller.
-func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, entry *poolEntry, count int) error {
-	arena := influence.NewArena()
+// populate samples the pool with per-item seeding into arena and stores
+// an exact-size Clone of it: the arena's growth slack and build scratch
+// (live edges, CSR cursors) stay with the arena, which the caller's scratch
+// reuses, so populating allocates the same few objects whatever the pool
+// size once the arena is warm. A canceled attempt stores nothing. entry.mu
+// is held by the caller.
+func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, entry *poolEntry, count int, arena *influence.Arena) error {
+	arena.Reset()
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 	src := graph.NewPCG(0)
 	smp := newArenaSampler(e.g, e.p.Model, rand.New(src))
@@ -186,7 +191,7 @@ func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, ent
 		smp.RRGraphInto(arena)
 	}
 	span.EndItems(count)
-	entry.rrs = arena.Finalize()
+	entry.pool = arena.Pool().Clone()
 	entry.ready = true
 	return nil
 }

@@ -350,9 +350,10 @@ func (c *cancelAfterErrs) Err() error {
 }
 
 // poolBytes serializes a sample pool for byte-identity comparison.
-func poolBytes(rrs []*influence.RRGraph) string {
+func poolBytes(pool influence.Pool) string {
 	var b strings.Builder
-	for _, rr := range rrs {
+	for i := 0; i < pool.Len(); i++ {
+		rr := pool.Sample(i)
 		fmt.Fprintf(&b, "%v|%v|%v;", rr.Nodes, rr.Off, rr.Adj)
 	}
 	return b.String()
@@ -385,7 +386,7 @@ func TestSampleCacheCanceledPopulateRetriesClean(t *testing.T) {
 
 	// First attempt: cancellation fires with PollEvery samples already
 	// drawn.
-	_, _, err := eng.cache.get(&cancelAfterErrs{Context: rctx, left: 1}, eng, predKey{}, count)
+	_, _, err := eng.cache.get(&cancelAfterErrs{Context: rctx, left: 1}, eng, predKey{}, count, influence.NewArena())
 	var ce *influence.CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("canceled populate returned %v, want CanceledError", err)
@@ -395,16 +396,16 @@ func TestSampleCacheCanceledPopulateRetriesClean(t *testing.T) {
 	}
 
 	// The retry must serve a clean full pool...
-	got, _, err := eng.cache.get(rctx, eng, predKey{}, count)
+	got, _, err := eng.cache.get(rctx, eng, predKey{}, count, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != count {
-		t.Fatalf("retried pool has %d graphs, want %d (partial samples retained)", len(got), count)
+	if got.Len() != count {
+		t.Fatalf("retried pool has %d graphs, want %d (partial samples retained)", got.Len(), count)
 	}
 	// ...byte-identical to an engine that never failed.
 	fresh := build()
-	want, _, err := fresh.cache.get(rctx, fresh, predKey{}, count)
+	want, _, err := fresh.cache.get(rctx, fresh, predKey{}, count, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestSampleCacheCanceledPopulateRetriesClean(t *testing.T) {
 		t.Error("pool after canceled populate differs from never-canceled pool")
 	}
 	// The retried pool was cached under the live key: next get is a hit.
-	if _, _, err := eng.cache.get(rctx, eng, predKey{}, count); err != nil {
+	if _, _, err := eng.cache.get(rctx, eng, predKey{}, count, influence.NewArena()); err != nil {
 		t.Fatal(err)
 	}
 	if m.CacheHits.Value() != 1 || m.CacheMisses.Value() != 3 {
@@ -461,7 +462,7 @@ func TestSampleCacheWaiterSurvivesCanceledPopulate(t *testing.T) {
 	}
 	ref := build()
 	count := ref.p.Theta * g.N()
-	refPool, _, err := ref.cache.get(context.Background(), ref, predKey{}, count)
+	refPool, _, err := ref.cache.get(context.Background(), ref, predKey{}, count, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestSampleCacheWaiterSurvivesCanceledPopulate(t *testing.T) {
 	gctx := &gateCtx{Context: context.Background(), polled: make(chan struct{}), release: make(chan struct{})}
 	popErr := make(chan error, 1)
 	go func() {
-		_, _, err := eng.cache.get(gctx, eng, predKey{}, count)
+		_, _, err := eng.cache.get(gctx, eng, predKey{}, count, influence.NewArena())
 		popErr <- err
 	}()
 	<-gctx.polled // populator is inside populate, holding entry.mu
@@ -482,7 +483,7 @@ func TestSampleCacheWaiterSurvivesCanceledPopulate(t *testing.T) {
 	}
 	waiterRes := make(chan res, 1)
 	go func() {
-		rrs, _, err := eng.cache.get(context.Background(), eng, predKey{}, count)
+		rrs, _, err := eng.cache.get(context.Background(), eng, predKey{}, count, influence.NewArena())
 		if err != nil {
 			waiterRes <- res{err: err}
 			return
@@ -525,7 +526,7 @@ func TestSampleCacheWaiterSurvivesCanceledPopulate(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := obs.NewQueryMetrics(reg)
 	rctx := obs.WithRecorder(context.Background(), obs.NewRecorder(m, nil))
-	if _, _, err := eng.cache.get(rctx, eng, predKey{}, count); err != nil {
+	if _, _, err := eng.cache.get(rctx, eng, predKey{}, count, influence.NewArena()); err != nil {
 		t.Fatal(err)
 	}
 	if m.CacheHits.Value() != 1 {
@@ -550,7 +551,7 @@ func TestSampleCacheConcurrentCancelConvergence(t *testing.T) {
 	}
 	ref := build()
 	count := ref.p.Theta * g.N()
-	refPool, _, err := ref.cache.get(context.Background(), ref, predKey{}, count)
+	refPool, _, err := ref.cache.get(context.Background(), ref, predKey{}, count, influence.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +571,7 @@ func TestSampleCacheConcurrentCancelConvergence(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, ctx context.Context) {
 				defer wg.Done()
-				rrs, _, err := eng.cache.get(ctx, eng, predKey{}, count)
+				rrs, _, err := eng.cache.get(ctx, eng, predKey{}, count, influence.NewArena())
 				if err != nil {
 					errs[slot] = err
 					return
@@ -614,5 +615,52 @@ func TestSampleCacheEviction(t *testing.T) {
 	}
 	if m.CacheEvictions.Value() != 2 {
 		t.Errorf("evictions = %d, want 2", m.CacheEvictions.Value())
+	}
+}
+
+// TestSampleCachePoolCompact locks the cached pool's layout: populating an
+// entry through a warm arena allocates the same number of objects whatever
+// θ·N is, and the entry retains exact-size arrays whose bytes are the
+// samples' data plus one 8-byte start per sample — no per-sample header.
+func TestSampleCachePoolCompact(t *testing.T) {
+	g, _ := attrGraph(t, 97)
+	eng, err := Build(context.Background(), g, Params{K: 3, Theta: 1, Seed: 97}, Config{SampleCache: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	arena := influence.NewArena()
+	key := cacheKey{pred: predKey{attr: 1}}
+	populate := func(theta int) *poolEntry {
+		entry := &poolEntry{}
+		if err := eng.cache.populate(ctx, eng, key, entry, theta*g.N(), arena); err != nil {
+			t.Fatal(err)
+		}
+		return entry
+	}
+	populate(4) // warm the arena to the larger pool
+	allocs := map[int]float64{}
+	for _, theta := range []int{2, 4} {
+		allocs[theta] = testing.AllocsPerRun(4, func() { populate(theta) })
+		entry := populate(theta)
+		if entry.pool.Len() != theta*g.N() {
+			t.Fatalf("θ=%d: pool has %d samples, want %d", theta, entry.pool.Len(), theta*g.N())
+		}
+		nodes, off, adj, at := entry.pool.Arrays()
+		if cap(nodes) != len(nodes) || cap(off) != len(off) || cap(adj) != len(adj) || cap(at) != len(at) {
+			t.Errorf("θ=%d: cached pool arrays are not exact-size", theta)
+		}
+		data := 0
+		for i := 0; i < entry.pool.Len(); i++ {
+			r := entry.pool.Sample(i)
+			data += 4 * (len(r.Nodes) + len(r.Off) + len(r.Adj))
+		}
+		held := 4*(len(nodes)+len(off)+len(adj)) + 8*len(at)
+		if want := data + 8*(entry.pool.Len()+1); held != want {
+			t.Errorf("θ=%d: cached pool holds %d bytes, want %d", theta, held, want)
+		}
+	}
+	if allocs[2] != allocs[4] {
+		t.Errorf("populating allocated %v objects at θ=2 and %v at θ=4; want a count independent of θ·N", allocs[2], allocs[4])
 	}
 }

@@ -40,7 +40,7 @@ const (
 )
 
 // NewGraphSampler returns a sampler for the model over g driven by rng.
-func NewGraphSampler(g *graph.Graph, m Model, rng *rand.Rand) influence.GraphSampler {
+func NewGraphSampler(g *graph.Graph, m Model, rng *rand.Rand) influence.ArenaSampler {
 	return newArenaSampler(g, m, rng)
 }
 

@@ -273,7 +273,7 @@ type execState struct {
 	rec      *core.Reclustering // from WeightLORE
 	attrTree *hier.Tree         // from WeightGlobal
 	ch       *core.Chain
-	rrs      []*influence.RRGraph
+	pool     influence.Pool
 	res      core.EvalResult
 	// staged marks that an adaptive sample step already produced res (the
 	// evaluate step then passes through); stages and gap annotate the sample
@@ -389,18 +389,18 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 			return Community{}, outcome, false, nil
 		}
 		if step.Sample == SampleRestricted {
-			rrs, err := e.sampleRestricted(ctx, sc, st.rec, rng)
+			pool, err := e.sampleRestricted(ctx, sc, st.rec, rng)
 			if err != nil {
 				return Community{}, errOutcome(err), false, err
 			}
-			st.rrs = rrs
+			st.pool = pool
 			return Community{}, "restricted", false, nil
 		}
-		rrs, outcome, err := e.sampleShared(ctx, sc, pl.predCacheKey())
+		pool, outcome, err := e.sampleShared(ctx, sc, pl.predCacheKey())
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
-		st.rrs = rrs
+		st.pool = pool
 		return Community{}, outcome, false, nil
 
 	case StepEvaluate:
@@ -408,7 +408,7 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 			// The adaptive sample step already evaluated; st.res is final.
 			return Community{}, "staged", false, nil
 		}
-		res, err := core.CompressedEvaluateScratchCtx(ctx, st.ch, st.rrs, pl.K, sc.eval)
+		res, err := core.CompressedEvaluatePoolCtx(ctx, st.ch, st.pool, pl.K, sc.eval)
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
@@ -469,28 +469,28 @@ func (e *Engine) probeIndex(ctx context.Context, q graph.NodeID, k int, rec *cor
 
 // sampleShared fills the θ·N whole-graph pool: from the per-predicate cache
 // when enabled (the query rng is then unused — pool content is a pure
-// function of seed, predicate key and epoch), else from the query rng
-// (already bound to the scratch sampler) into the scratch arena,
-// byte-identical to the historical influence.BatchCtx stream. The outcome
-// labels the step span: cache_hit/cache_miss through the cache, sampled
-// without one.
-func (e *Engine) sampleShared(ctx context.Context, sc *queryScratch, pk predKey) ([]*influence.RRGraph, string, error) {
+// function of seed, predicate key and epoch; a miss samples it through the
+// scratch arena), else from the query rng (already bound to the scratch
+// sampler) into the scratch arena, byte-identical to the historical
+// influence.BatchCtx stream. The outcome labels the step span:
+// cache_hit/cache_miss through the cache, sampled without one.
+func (e *Engine) sampleShared(ctx context.Context, sc *queryScratch, pk predKey) (influence.Pool, string, error) {
 	count := e.p.Theta * e.g.N()
 	if e.cache != nil {
-		rrs, hit, err := e.cache.get(ctx, e, pk, count)
+		pool, hit, err := e.cache.get(ctx, e, pk, count, sc.arena)
 		if hit {
-			return rrs, "cache_hit", err
+			return pool, "cache_hit", err
 		}
-		return rrs, "cache_miss", err
+		return pool, "cache_miss", err
 	}
-	rrs, err := influence.BatchIntoCtx(ctx, sc.sampler, count, sc.arena)
-	return rrs, "sampled", err
+	pool, err := influence.BatchPoolCtx(ctx, sc.sampler, count, sc.arena)
+	return pool, "sampled", err
 }
 
 // sampleRestricted draws θ·|C_ℓ| RR graphs confined to C_ℓ, sources drawn
 // uniformly from the members by the query rng — the same draw order as the
 // historical CODL loop, arena-backed.
-func (e *Engine) sampleRestricted(ctx context.Context, sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) ([]*influence.RRGraph, error) {
+func (e *Engine) sampleRestricted(ctx context.Context, sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) (influence.Pool, error) {
 	members := rec.Sub.ToParent
 	in := sc.memberMask(members)
 	member := func(u graph.NodeID) bool { return in[u] }
@@ -500,14 +500,14 @@ func (e *Engine) sampleRestricted(ctx context.Context, sc *queryScratch, rec *co
 		if i%influence.PollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				sample.EndItems(i)
-				return nil, &influence.CanceledError{
+				return influence.Pool{}, &influence.CanceledError{
 					Op: "engine: restricted rr sampling", Done: i, Total: total, Cause: err}
 			}
 		}
 		sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
 	}
 	sample.EndItems(total)
-	return sc.arena.Finalize(), nil
+	return sc.arena.Pool(), nil
 }
 
 func communityFromChain(ch *core.Chain, res core.EvalResult) Community {

@@ -65,23 +65,45 @@ func ClusterCtx(ctx context.Context, g *graph.Graph, linkage Linkage) (*hier.Tre
 	if n == 0 {
 		return nil, fmt.Errorf("hac: empty graph")
 	}
-	total := 2*n - 1
-	parent := make([]hier.Vertex, total)
-	for i := range parent {
-		parent[i] = -1
-	}
 	if n == 1 {
-		return hier.New(1, parent[:1])
+		return hier.New(1, []hier.Vertex{-1})
 	}
+	c := newClusterer(g, linkage)
 
+	// The merge span flushes even on cancellation, counting the internal
+	// vertices created so far (merges completed).
+	span := obs.FromContext(ctx).StartSpan(obs.StageHACMerge)
+	roots, err := c.run(ctx)
+	if err != nil {
+		span.EndItems(int(c.next) - n)
+		return nil, err
+	}
+	// Merge component roots (if several) under zero similarity, folding
+	// left: the running root absorbs each next component in order.
+	acc := roots[0]
+	for _, r := range roots[1:] {
+		acc = c.newVertex(acc, r)
+	}
+	span.EndItems(int(c.next) - n)
+	return hier.New(n, c.parent)
+}
+
+// newClusterer returns the merge state of g with every node its own
+// active cluster.
+func newClusterer(g *graph.Graph, linkage Linkage) *clusterer {
+	n := g.N()
+	total := 2*n - 1
 	c := &clusterer{
 		g:       g,
 		linkage: linkage,
-		parent:  parent,
+		parent:  make([]hier.Vertex, total),
 		size:    make([]int32, total),
 		nbr:     make([]map[int32]float64, total),
 		active:  make([]bool, total),
 		next:    int32(n),
+	}
+	for i := range c.parent {
+		c.parent[i] = -1
 	}
 	for v := 0; v < n; v++ {
 		c.size[v] = 1
@@ -97,23 +119,7 @@ func ClusterCtx(ctx context.Context, g *graph.Graph, linkage Linkage) (*hier.Tre
 		}
 		c.nbr[v] = m
 	}
-
-	// The merge span flushes even on cancellation, counting the internal
-	// vertices created so far (merges completed).
-	span := obs.FromContext(ctx).StartSpan(obs.StageHACMerge)
-	roots, err := c.run(ctx)
-	if err != nil {
-		span.EndItems(int(c.next) - n)
-		return nil, err
-	}
-	// Merge component roots (if several) under zero similarity.
-	for len(roots) > 1 {
-		a, b := roots[0], roots[1]
-		nv := c.newVertex(a, b)
-		roots = append([]int32{nv}, roots[2:]...)
-	}
-	span.EndItems(int(c.next) - n)
-	return hier.New(n, c.parent)
+	return c
 }
 
 // ClusterBalanced clusters g and then rebalances the dendrogram along its

@@ -33,18 +33,18 @@ func (r Result) Spread(n int) float64 {
 // Select greedily picks k seeds maximizing RR-set coverage over the given
 // pool. The pool must have been sampled on the target graph; it is not
 // modified. Runs in O(Σ|rr| + k·n) with lazy bucket updates.
-func Select(g *graph.Graph, pool []*influence.RRGraph, k int) (Result, error) {
+func Select(g *graph.Graph, pool influence.Pool, k int) (Result, error) {
 	n := g.N()
 	if k < 1 || k > n {
 		return Result{}, fmt.Errorf("im: k = %d out of range [1,%d]", k, n)
 	}
-	if len(pool) == 0 {
+	if pool.Len() == 0 {
 		return Result{}, fmt.Errorf("im: empty RR pool")
 	}
 	// node -> RR sets containing it
 	covers := make([][]int32, n)
-	for i, rr := range pool {
-		for _, v := range rr.Nodes {
+	for i := 0; i < pool.Len(); i++ {
+		for _, v := range pool.Nodes(i) {
 			covers[v] = append(covers[v], int32(i))
 		}
 	}
@@ -52,7 +52,7 @@ func Select(g *graph.Graph, pool []*influence.RRGraph, k int) (Result, error) {
 	for v := range gain {
 		gain[v] = len(covers[v])
 	}
-	covered := make([]bool, len(pool))
+	covered := make([]bool, pool.Len())
 	coveredCnt := 0
 
 	// Bucketed lazy greedy: buckets[g] holds nodes whose cached gain is g.
@@ -111,7 +111,7 @@ func Select(g *graph.Graph, pool []*influence.RRGraph, k int) (Result, error) {
 			}
 		}
 		res.Seeds = append(res.Seeds, best)
-		res.Coverage = append(res.Coverage, float64(coveredCnt)/float64(len(pool)))
+		res.Coverage = append(res.Coverage, float64(coveredCnt)/float64(pool.Len()))
 	}
 	if len(res.Seeds) == 0 {
 		return Result{}, fmt.Errorf("im: no seed selected")
@@ -123,6 +123,9 @@ func Select(g *graph.Graph, pool []*influence.RRGraph, k int) (Result, error) {
 // model and greedily select k seeds.
 func Maximize(g *graph.Graph, model influence.Model, k, theta int, seed uint64) (Result, error) {
 	s := influence.NewSampler(g, model, graph.NewRand(seed))
-	pool := s.Batch(theta * g.N())
-	return Select(g, pool, k)
+	a := influence.NewArena()
+	for i := 0; i < theta*g.N(); i++ {
+		s.RRGraphInto(a)
+	}
+	return Select(g, a.Pool(), k)
 }

@@ -54,12 +54,9 @@ func TestCoverageMonotone(t *testing.T) {
 
 func TestGreedyMatchesBruteForceOnTinyPool(t *testing.T) {
 	// hand-crafted pool over 4 nodes; greedy = optimal here
-	mk := func(nodes ...graph.NodeID) *influence.RRGraph {
-		return &influence.RRGraph{Nodes: nodes}
-	}
-	pool := []*influence.RRGraph{
-		mk(0, 1), mk(0, 2), mk(1), mk(3), mk(3), mk(3),
-	}
+	pool := influence.PoolOf([]*influence.RRGraph{
+		rr(0, 1), rr(0, 2), rr(1), rr(3), rr(3), rr(3),
+	})
 	g, err := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +80,10 @@ func TestSelectErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Select(g, nil, 1); err == nil {
+	if _, err := Select(g, influence.Pool{}, 1); err == nil {
 		t.Error("empty pool accepted")
 	}
-	pool := []*influence.RRGraph{{Nodes: []graph.NodeID{0}}}
+	pool := influence.PoolOf([]*influence.RRGraph{rr(0)})
 	if _, err := Select(g, pool, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -100,8 +97,7 @@ func TestSelectStopsWhenPoolCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := []*influence.RRGraph{{Nodes: []graph.NodeID{2}}}
-	res, err := Select(g, pool, 4)
+	res, err := Select(g, influence.PoolOf([]*influence.RRGraph{rr(2)}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,4 +109,9 @@ func TestSelectStopsWhenPoolCovered(t *testing.T) {
 	if res.Coverage[0] != 1 {
 		t.Errorf("coverage = %v", res.Coverage)
 	}
+}
+
+// rr builds an edgeless RR graph over nodes, enough for coverage tests.
+func rr(nodes ...graph.NodeID) *influence.RRGraph {
+	return &influence.RRGraph{Nodes: nodes, Off: make([]int32, len(nodes)+1)}
 }

@@ -56,23 +56,30 @@ func BatchCtx(ctx context.Context, s GraphSampler, count int) ([]*RRGraph, error
 	return out, nil
 }
 
-// BatchIntoCtx is BatchCtx writing every sample into a instead of
-// allocating: same polling cadence, same span, same randomness order, so the
-// finalized RR graphs are byte-identical to BatchCtx's for equal rng states.
-// The returned slice aliases the arena (see Arena's ownership contract). On
+// BatchPoolCtx is BatchCtx writing every sample into a instead of
+// allocating: same polling cadence, same span, same randomness order, so
+// the pool's samples are byte-identical to BatchCtx's for equal rng states.
+// The pool aliases the arena (see Arena's ownership contract). On
 // cancellation the samples completed so far are returned with the
 // *CanceledError.
-func BatchIntoCtx(ctx context.Context, s ArenaSampler, count int, a *Arena) ([]*RRGraph, error) {
+func BatchPoolCtx(ctx context.Context, s ArenaSampler, count int, a *Arena) (Pool, error) {
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 	for i := 0; i < count; i++ {
 		if i%PollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				span.EndItems(i)
-				return a.Finalize(), &CanceledError{Op: "influence: rr batch", Done: i, Total: count, Cause: err}
+				return a.Pool(), &CanceledError{Op: "influence: rr batch", Done: i, Total: count, Cause: err}
 			}
 		}
 		s.RRGraphInto(a)
 	}
 	span.EndItems(count)
-	return a.Finalize(), nil
+	return a.Pool(), nil
+}
+
+// BatchIntoCtx is BatchPoolCtx returning the samples as Finalize headers,
+// for callers that take []*RRGraph.
+func BatchIntoCtx(ctx context.Context, s ArenaSampler, count int, a *Arena) ([]*RRGraph, error) {
+	_, err := BatchPoolCtx(ctx, s, count, a)
+	return a.Finalize(), err
 }

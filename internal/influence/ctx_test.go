@@ -50,7 +50,7 @@ func TestParallelBatchCtxMatchesParallelBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rrBytes(t, plain) != rrBytes(t, withCtx) {
+	if rrBytes(t, poolRRs(plain)) != rrBytes(t, poolRRs(withCtx)) {
 		t.Error("ParallelBatchCtx differs from ParallelBatch across worker counts")
 	}
 }
@@ -81,7 +81,7 @@ func TestParallelBatchCtxCancellation(t *testing.T) {
 func TestParallelBatchRangeCtxStagedMatchesFull(t *testing.T) {
 	g := graph.ErdosRenyi(60, 150, graph.NewRand(4))
 	model := NewWeightedCascade(g)
-	want := rrBytes(t, ParallelBatch(g, model, 400, 11, 4))
+	want := rrBytes(t, poolRRs(ParallelBatch(g, model, 400, 11, 4)))
 	for _, workers := range []int{1, 3} {
 		var pool []*RRGraph
 		lo := 0
@@ -90,7 +90,7 @@ func TestParallelBatchRangeCtxStagedMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool = append(pool, part...)
+			pool = append(pool, poolRRs(part)...)
 			lo = hi
 		}
 		if got := rrBytes(t, pool); got != want {
@@ -102,11 +102,11 @@ func TestParallelBatchRangeCtxStagedMatchesFull(t *testing.T) {
 func TestParallelBatchRangeCtxEdgeCases(t *testing.T) {
 	g := graph.ErdosRenyi(10, 20, graph.NewRand(2))
 	model := NewWeightedCascade(g)
-	if got, err := ParallelBatchRangeCtx(context.Background(), g, model, 7, 7, 1, 4); err != nil || len(got) != 0 {
-		t.Errorf("empty range: got %d samples, err %v", len(got), err)
+	if got, err := ParallelBatchRangeCtx(context.Background(), g, model, 7, 7, 1, 4); err != nil || got.Len() != 0 {
+		t.Errorf("empty range: got %d samples, err %v", got.Len(), err)
 	}
-	if got, err := ParallelBatchRangeCtx(context.Background(), g, model, 9, 3, 1, 4); err != nil || len(got) != 0 {
-		t.Errorf("inverted range: got %d samples, err %v", len(got), err)
+	if got, err := ParallelBatchRangeCtx(context.Background(), g, model, 9, 3, 1, 4); err != nil || got.Len() != 0 {
+		t.Errorf("inverted range: got %d samples, err %v", got.Len(), err)
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 
 // ParallelBatch samples count RR graphs across workers goroutines. Each
 // sample i draws from its own PRNG stream seeded by graph.ItemSeed(seed, i),
-// so out[i] depends only on (g, model, seed, i): the result is byte-for-byte
-// identical for any worker count or goroutine schedule. Workers reuse one
-// Sampler (its scratch arrays are O(|V|)) and reseed its source per sample.
-func ParallelBatch(g *graph.Graph, model Model, count int, seed uint64, workers int) []*RRGraph {
+// so sample i depends only on (g, model, seed, i): the pool is byte-for-byte
+// identical for any worker count or goroutine schedule. Each worker reuses
+// one Sampler (its scratch arrays are O(|V|)), reseeds its source per
+// sample, and writes a contiguous index range into an arena of its own; the
+// arenas are joined in index order into one exact-size pool.
+func ParallelBatch(g *graph.Graph, model Model, count int, seed uint64, workers int) Pool {
 	out, _ := ParallelBatchCtx(context.Background(), g, model, count, seed, workers)
 	return out
 }
@@ -25,46 +27,40 @@ func ParallelBatch(g *graph.Graph, model Model, count int, seed uint64, workers 
 // when the context is done. An uncancelled call returns the same pool as
 // ParallelBatch for the same arguments; a canceled call returns a
 // *CanceledError counting the samples that completed across all workers
-// (the pool slice has holes, so it is withheld). The fan-in always flushes
-// the completed-sample total through the context Recorder — on early cancel
-// the per-worker counts used to vanish with the discarded pool, which left
-// metrics blind to how much sampling a shed query had already paid for.
-func ParallelBatchCtx(ctx context.Context, g *graph.Graph, model Model, count int, seed uint64, workers int) ([]*RRGraph, error) {
+// (the worker ranges have gaps, so no pool is returned). Every worker is
+// joined before the call returns, on cancel too, and the fan-in always
+// flushes the completed-sample total through the context Recorder — on
+// early cancel the per-worker counts used to vanish with the discarded
+// pool, which left metrics blind to how much sampling a shed query had
+// already paid for.
+func ParallelBatchCtx(ctx context.Context, g *graph.Graph, model Model, count int, seed uint64, workers int) (Pool, error) {
 	return ParallelBatchRangeCtx(ctx, g, model, 0, count, seed, workers)
 }
 
 // ParallelBatchRangeCtx samples items [lo, hi) of the per-item-seeded pool
-// defined by (g, model, seed): out[j] is sample lo+j, drawn from the PRNG
-// stream seeded by graph.ItemSeed(seed, lo+j). Because every item owns its
-// stream, call boundaries are invisible — sampling [0, c₁), [c₁, c₂), …,
-// [cₖ, total) stage by stage concatenates to the byte-identical pool a
-// single [0, total) call produces. This is the stage-resumable parallel
-// primitive behind adaptive evaluation's geometric schedule.
+// defined by (g, model, seed): sample j of the result is item lo+j, drawn
+// from the PRNG stream seeded by graph.ItemSeed(seed, lo+j). Because every
+// item owns its stream, call boundaries are invisible — sampling [0, c₁),
+// [c₁, c₂), …, [cₖ, total) stage by stage concatenates to the
+// byte-identical pool a single [0, total) call produces. This is the
+// stage-resumable parallel primitive.
 //
 // Each stage call is its own rr_sample span, and the fan-in flushes the
 // stage's completed-sample count through the context Recorder even when a
 // cancel lands mid-stage — the same partial-progress contract as the
 // non-staged path, with Done/Total in *CanceledError scoped to this call's
 // range so staged callers can sum spans without double-counting.
-func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo, hi int, seed uint64, workers int) ([]*RRGraph, error) {
-	count := hi - lo
-	if count < 0 {
-		count = 0
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > count {
-		workers = count
-	}
+func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo, hi int, seed uint64, workers int) (Pool, error) {
+	count := max(hi-lo, 0)
+	workers = min(max(workers, 1), count)
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	out := make([]*RRGraph, count)
 	if count == 0 {
 		span.EndItems(0)
-		return out, nil
+		return Pool{}, nil
 	}
 	per := count / workers
 	extra := count % workers
+	parts := make([]Pool, workers)
 	var done atomic.Int64
 	var wg sync.WaitGroup
 	start := 0
@@ -76,8 +72,9 @@ func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo,
 		wlo, whi := start, start+n
 		start = whi
 		wg.Add(1)
-		go func(wlo, whi int) {
+		go func(w, wlo, whi int) {
 			defer wg.Done()
+			a := NewArena()
 			src := graph.NewPCG(0)
 			s := NewSampler(g, model, rand.New(src))
 			for j := wlo; j < whi; j++ {
@@ -85,16 +82,17 @@ func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo,
 					return
 				}
 				graph.SeedPCG(src, graph.ItemSeed(seed, lo+j))
-				out[j] = s.RRGraph()
+				s.RRGraphInto(a)
 				done.Add(1)
 			}
-		}(wlo, whi)
+			parts[w] = a.Pool()
+		}(w, wlo, whi)
 	}
 	wg.Wait()
 	span.EndItems(int(done.Load()))
 	if err := ctx.Err(); err != nil && int(done.Load()) < count {
-		return nil, &CanceledError{Op: "influence: parallel rr batch",
+		return Pool{}, &CanceledError{Op: "influence: parallel rr batch",
 			Done: int(done.Load()), Total: count, Cause: err}
 	}
-	return out, nil
+	return joinPools(parts), nil
 }

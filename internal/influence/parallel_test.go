@@ -16,17 +16,25 @@ func TestParallelBatchDeterministic(t *testing.T) {
 	model := NewWeightedCascade(g)
 	a := ParallelBatch(g, model, 200, 7, 4)
 	b := ParallelBatch(g, model, 200, 7, 4)
-	if len(a) != 200 || len(b) != 200 {
-		t.Fatalf("lengths %d %d", len(a), len(b))
+	if a.Len() != 200 || b.Len() != 200 {
+		t.Fatalf("lengths %d %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i] == nil || b[i] == nil {
-			t.Fatalf("nil sample at %d", i)
-		}
-		if a[i].Source() != b[i].Source() || a[i].Len() != b[i].Len() {
+	for i := 0; i < a.Len(); i++ {
+		if a.Nodes(i)[0] != b.Nodes(i)[0] || len(a.Nodes(i)) != len(b.Nodes(i)) {
 			t.Fatalf("sample %d differs across runs", i)
 		}
 	}
+}
+
+// poolRRs returns header views of every sample of p, so pools compare with
+// the []*RRGraph helpers.
+func poolRRs(p Pool) []*RRGraph {
+	out := make([]*RRGraph, p.Len())
+	for i := range out {
+		r := p.Sample(i)
+		out[i] = &r
+	}
+	return out
 }
 
 // rrBytes serializes a batch of RR graphs exactly (nodes, offsets, adjacency),
@@ -46,9 +54,9 @@ func rrBytes(t *testing.T, rrs []*RRGraph) string {
 func TestParallelBatchWorkerCountInvariant(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 3, graph.NewRand(4))
 	model := NewWeightedCascade(g)
-	want := rrBytes(t, ParallelBatch(g, model, 300, 11, 1))
+	want := rrBytes(t, poolRRs(ParallelBatch(g, model, 300, 11, 1)))
 	for _, workers := range []int{2, 3, 8} {
-		got := rrBytes(t, ParallelBatch(g, model, 300, 11, workers))
+		got := rrBytes(t, poolRRs(ParallelBatch(g, model, 300, 11, workers)))
 		if got != want {
 			t.Fatalf("workers=%d batch differs from sequential batch", workers)
 		}
@@ -58,13 +66,13 @@ func TestParallelBatchWorkerCountInvariant(t *testing.T) {
 func TestParallelBatchEdgeCases(t *testing.T) {
 	g := graph.ErdosRenyi(10, 20, graph.NewRand(2))
 	model := NewWeightedCascade(g)
-	if got := ParallelBatch(g, model, 0, 1, 4); len(got) != 0 {
+	if got := ParallelBatch(g, model, 0, 1, 4); got.Len() != 0 {
 		t.Error("count 0 should return empty")
 	}
-	if got := ParallelBatch(g, model, 3, 1, 16); len(got) != 3 {
+	if got := ParallelBatch(g, model, 3, 1, 16); got.Len() != 3 {
 		t.Error("workers > count mishandled")
 	}
-	if got := ParallelBatch(g, model, 5, 1, 0); len(got) != 5 {
+	if got := ParallelBatch(g, model, 5, 1, 0); got.Len() != 5 {
 		t.Error("workers 0 mishandled")
 	}
 }
@@ -146,7 +154,7 @@ func TestParallelBatchStatisticallySane(t *testing.T) {
 	g := graph.BarabasiAlbert(40, 2, graph.NewRand(3))
 	model := NewWeightedCascade(g)
 	rrs := ParallelBatch(g, model, 4000, 9, 8)
-	counts := EstimateAll(g, rrs)
+	counts := EstimateAll(g, poolRRs(rrs))
 	// node 0 is a hub in BA graphs: its count should be well above average
 	avg := 0
 	for _, c := range counts {

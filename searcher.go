@@ -350,7 +350,7 @@ func (s *Searcher) MaximizeInfluenceCtx(ctx context.Context, k int) ([]NodeID, f
 		theta = 10
 	}
 	sampler := engine.NewGraphSampler(s.g.internalGraph(), s.opts.Model, s.nextRand())
-	pool, err := influence.BatchCtx(ctx, sampler, theta*s.g.N())
+	pool, err := influence.BatchPoolCtx(ctx, sampler, theta*s.g.N(), influence.NewArena())
 	if err != nil {
 		return nil, 0, err
 	}
