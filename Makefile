@@ -7,7 +7,7 @@ CODVET  := $(BIN)/codvet
 PKGS    := ./...
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint vet codvet codvet-path codvet-self fmt fmt-check bench cover-check fuzz serve-smoke perfbench-smoke check clean
+.PHONY: all build test race lint vet codvet codvet-path codvet-self fmt fmt-check bench cover-check fuzz serve-smoke perfbench-smoke examples check clean
 
 all: build
 
@@ -73,6 +73,15 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzManifestRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/blobstore/
 	$(GO) test -run=^$$ -fuzz=FuzzParseQuery$$ -fuzztime=$(FUZZTIME) ./internal/query/
 
+# Runs the API-tour examples. go build ./... only compiles them, so a
+# runtime failure (a retired entry point, a rejected option) needs a run to
+# show; log.Fatal output still reaches stderr.
+examples:
+	@for e in quickstart dynamic heterogeneous academic marketing; do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
+
 # Boots codserve on a random port and drives the serving contract end to
 # end: readiness split, query endpoints, JSON errors, SIGTERM drain.
 serve-smoke:
@@ -90,7 +99,7 @@ perfbench-smoke:
 		case "$$out" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w not correct"; exit 1;; esac; \
 	done
 
-check: build lint test race serve-smoke
+check: build lint test race examples serve-smoke
 
 clean:
 	rm -rf $(BIN)

@@ -12,8 +12,8 @@ import (
 // Query pairs a node with a query attribute for batch discovery. Expr, when
 // non-empty, replaces Attr with a full query expression (predicate, filters,
 // knobs — see PreparedQuery); Node still supplies the query node unless the
-// expression carries a node= knob. Queries with an empty Expr run the legacy
-// single-attribute CODL path byte-identically.
+// expression carries a node= knob. Queries with an empty Expr run the
+// single-attribute CODL query of Discover.
 type Query struct {
 	Node NodeID
 	Attr AttrID
@@ -33,8 +33,8 @@ type BatchResult struct {
 // worker per query up to 8. Each query gets a deterministic seed derived
 // from Options.Seed and its position, so results are reproducible
 // regardless of scheduling.
-func (s *Searcher) DiscoverBatch(queries []Query, workers int) []BatchResult {
-	return s.DiscoverBatchCtx(context.Background(), queries, workers)
+func (c *queryCore) DiscoverBatch(queries []Query, workers int) []BatchResult {
+	return c.DiscoverBatchCtx(context.Background(), queries, workers)
 }
 
 // DiscoverBatchCtx is DiscoverBatch with cancellation. All queries are
@@ -45,39 +45,33 @@ func (s *Searcher) DiscoverBatch(queries []Query, workers int) []BatchResult {
 // keep their results — per-item seeding makes them identical to an
 // uncancelled run — and every unstarted or interrupted query reports an
 // error wrapping the context error.
-func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, workers int) []BatchResult {
+func (c *queryCore) DiscoverBatchCtx(ctx context.Context, queries []Query, workers int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
 		return out
 	}
-	// Up-front validation: one error shape for node and attribute, applied
-	// before any query work. Each query's engine spec is built here too —
-	// expressions are prepared once per distinct expression — so workers
-	// never parse and a malformed expression rejects before any query work.
+	// Up-front lowering and validation, with Discover's lowerings and error
+	// shapes, before any query work. Expressions are prepared once per
+	// distinct expression, so workers never parse and a malformed expression
+	// rejects before any query work.
 	prepared := make(map[string]*PreparedQuery)
 	specs := make([]engine.Spec, len(queries))
 	for i, q := range queries {
 		out[i].Query = q
 		if q.Expr == "" {
-			specs[i] = engine.Spec{Variant: engine.VariantCODL, Q: q.Node, Attr: q.Attr}
-			out[i].Err = s.g.validate(q.Node, q.Attr)
+			specs[i], out[i].Err = c.lowerCODL(q.Node, q.Attr)
 			continue
 		}
 		pq, ok := prepared[q.Expr]
 		if !ok {
 			var err error
-			if pq, err = s.Prepare(q.Expr); err != nil {
+			if pq, err = c.Prepare(q.Expr); err != nil {
 				out[i].Err = err
 				continue
 			}
 			prepared[q.Expr] = pq
 		}
-		node := q.Node
-		if pq.hasNode {
-			node = pq.node
-		}
-		specs[i] = pq.spec(node)
-		out[i].Err = s.g.validate(node, pq.attr)
+		specs[i], out[i].Err = pq.lower(q.Node)
 	}
 	if workers <= 0 {
 		workers = len(queries)
@@ -92,18 +86,18 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 	// serializes span appends, so concurrent workers record safely. The batch
 	// gets one trace ID derived statelessly from (Seed, batch size) before any
 	// worker starts; the trace keeps its first ID and seed, so the items'
-	// own stamps in discoverSeeded leave it unchanged. The per-item streams
-	// stay untouched and the Searcher's query sequence is not consumed, so
-	// batch instrumentation stays byte-invisible.
+	// own stamps in run leave it unchanged. The per-item streams stay
+	// untouched and the searcher's query sequence is not consumed, so batch
+	// instrumentation stays byte-invisible.
 	rec := obs.FromContext(ctx)
-	rec.EnsureTraceID(graph.ItemSeed(s.opts.Seed^0xba7c4, len(queries)))
+	rec.EnsureTraceID(graph.ItemSeed(c.seed^0xba7c4, len(queries)))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Workers share the Searcher's engine: offline state is read-only
+			// Workers share the searcher's engine: offline state is read-only
 			// at query time and per-query scratch comes from the engine's pool,
 			// so concurrent workers reuse arenas instead of allocating.
 			for i := range jobs {
@@ -116,7 +110,7 @@ func (s *Searcher) DiscoverBatchCtx(ctx context.Context, queries []Query, worker
 					rec.CountQuery(out[i].Err)
 					continue
 				}
-				out[i].Community, out[i].Err = s.discoverSeeded(ctx, specs[i], graph.ItemSeed(s.opts.Seed, i))
+				out[i].Community, out[i].Err = c.run(ctx, specs[i], graph.ItemSeed(c.seed, i))
 			}
 		}()
 	}

@@ -494,7 +494,7 @@ func BenchmarkDynamicFlush(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			u, err := dynamic.New(ds.G, engine.Params{Theta: 2, Seed: 1})
+			u, err := dynamic.New(ds.G, engine.Params{Theta: 2, Seed: 1}, engine.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

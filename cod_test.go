@@ -2,8 +2,34 @@ package cod
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 )
+
+// preparer is any searcher that prepares query expressions.
+type preparer interface {
+	Prepare(expr string) (*PreparedQuery, error)
+}
+
+// discoverExpr prepares expr on s and answers it for node q.
+func discoverExpr(ctx context.Context, s preparer, expr string, q NodeID) (Community, error) {
+	pq, err := s.Prepare(expr)
+	if err != nil {
+		return Community{}, err
+	}
+	return pq.DiscoverCtx(ctx, q)
+}
+
+// discoverVariant answers q through the expression that picks variant
+// (codl, codu, codr or codl-) for attr; codu takes no attribute.
+func discoverVariant(ctx context.Context, s preparer, variant string, q NodeID, attr AttrID) (Community, error) {
+	expr := fmt.Sprintf("%d and variant=%s", attr, variant)
+	if variant == "codu" {
+		expr = "variant=codu"
+	}
+	return discoverExpr(ctx, s, expr, q)
+}
 
 func buildTestGraph(t *testing.T) *Graph {
 	t.Helper()
@@ -105,16 +131,11 @@ func TestSearcherDiscover(t *testing.T) {
 		}
 	}
 
-	comU, err := s.DiscoverUnattributed(q)
-	if err != nil {
-		t.Fatal(err)
+	for _, variant := range []string{"codu", "codr"} {
+		if _, err := discoverVariant(context.Background(), s, variant, q, attr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_ = comU
-	comG, err := s.DiscoverGlobal(q, attr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = comG
 }
 
 func TestSearcherValidation(t *testing.T) {

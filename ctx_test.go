@@ -30,11 +30,10 @@ func TestDiscoverCtxCancellation(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("canceled DiscoverCtx took %v", elapsed)
 	}
-	if _, err := s.DiscoverUnattributedCtx(ctx, q.Node); !errors.Is(err, context.Canceled) {
-		t.Errorf("DiscoverUnattributedCtx error = %v", err)
-	}
-	if _, err := s.DiscoverGlobalCtx(ctx, q.Node, q.Attr); !errors.Is(err, context.Canceled) {
-		t.Errorf("DiscoverGlobalCtx error = %v", err)
+	for _, variant := range []string{"codu", "codr"} {
+		if _, err := discoverVariant(ctx, s, variant, q.Node, q.Attr); !errors.Is(err, context.Canceled) {
+			t.Errorf("variant=%s error = %v", variant, err)
+		}
 	}
 	var ce *CanceledError
 	if _, err := s.EstimateInfluenceCtx(ctx, q.Node); !errors.As(err, &ce) {
@@ -75,8 +74,8 @@ func TestCanceledQueryFlushesPartialTrace(t *testing.T) {
 		obs.WithRecorder(context.Background(), obs.NewRecorder(m, tr)))
 	cancel()
 
-	if _, err := s.DiscoverUnattributedCtx(ctx, q.Node); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DiscoverUnattributedCtx error = %v, want context.Canceled", err)
+	if _, err := discoverVariant(ctx, s, "codu", q.Node, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("variant=codu error = %v, want context.Canceled", err)
 	}
 	if tr.Len() == 0 {
 		t.Fatal("canceled query flushed no trace spans")
@@ -208,7 +207,7 @@ func TestAdaptiveCanceledMidStageFlushesPartialTrace(t *testing.T) {
 		tr := obs.NewTrace()
 		base := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))
 		fc := &errFlipCtx{Context: base, nilFor: nilFor}
-		_, err := s.DiscoverUnattributedCtx(fc, q.Node)
+		_, err := discoverVariant(fc, s, "codu", q.Node, 0)
 		if err == nil {
 			t.Fatalf("nilFor=%d: adaptive query completed before any cancel landed", nilFor)
 		}

@@ -91,15 +91,18 @@ func TestDiscoverCtxByteIdenticalToDiscover(t *testing.T) {
 		}
 	}
 	// The unattributed and global variants share the same contract.
-	u1, _ := s1.DiscoverUnattributed(queries[0].Node)
-	u2, _ := s2.DiscoverUnattributedCtx(context.Background(), queries[0].Node)
-	if fmt.Sprintf("%+v", u1) != fmt.Sprintf("%+v", u2) {
-		t.Errorf("DiscoverUnattributedCtx %+v differs from DiscoverUnattributed %+v", u2, u1)
-	}
-	g1, _ := s1.DiscoverGlobal(queries[0].Node, queries[0].Attr)
-	g2, _ := s2.DiscoverGlobalCtx(context.Background(), queries[0].Node, queries[0].Attr)
-	if fmt.Sprintf("%+v", g1) != fmt.Sprintf("%+v", g2) {
-		t.Errorf("DiscoverGlobalCtx %+v differs from DiscoverGlobal %+v", g2, g1)
+	q := queries[0]
+	for _, expr := range []string{"variant=codu", fmt.Sprintf("%d and variant=codr", q.Attr)} {
+		pq1, err1 := s1.Prepare(expr)
+		pq2, err2 := s2.Prepare(expr)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%q: %v / %v", expr, err1, err2)
+		}
+		want, _ := pq1.Discover(q.Node)
+		got, _ := pq2.DiscoverCtx(context.Background(), q.Node)
+		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+			t.Errorf("%q: DiscoverCtx %+v differs from Discover %+v", expr, got, want)
+		}
 	}
 }
 
@@ -162,15 +165,13 @@ func TestDiscoverWithRecorderByteIdentical(t *testing.T) {
 			t.Errorf("query %+v: instrumented %+v differs from plain %+v", q, got, want)
 		}
 	}
-	u1, _ := s1.DiscoverUnattributedCtx(context.Background(), queries[0].Node)
-	u2, _ := s2.DiscoverUnattributedCtx(rctx, queries[0].Node)
-	if fmt.Sprintf("%+v", u1) != fmt.Sprintf("%+v", u2) {
-		t.Errorf("instrumented codu %+v differs from plain %+v", u2, u1)
-	}
-	g1, _ := s1.DiscoverGlobalCtx(context.Background(), queries[0].Node, queries[0].Attr)
-	g2, _ := s2.DiscoverGlobalCtx(rctx, queries[0].Node, queries[0].Attr)
-	if fmt.Sprintf("%+v", g1) != fmt.Sprintf("%+v", g2) {
-		t.Errorf("instrumented codr %+v differs from plain %+v", g2, g1)
+	for _, variant := range []string{"codu", "codr"} {
+		q := queries[0]
+		want, _ := discoverVariant(context.Background(), s1, variant, q.Node, q.Attr)
+		got, _ := discoverVariant(rctx, s2, variant, q.Node, q.Attr)
+		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+			t.Errorf("instrumented %s %+v differs from plain %+v", variant, got, want)
+		}
 	}
 
 	// The recorder must have actually observed the work — a vacuous pass

@@ -25,7 +25,7 @@ const (
 // what SaveIndex writes into the codindx2 header, so the params hash derived
 // from it names exactly the semantics a loader will verify.
 func (s *Searcher) IndexParams() blobstore.ParamsSpec {
-	h := headerFor(s.opts, s.g.N())
+	h := headerFor(s.eng.Params(), s.g.N())
 	return blobstore.ParamsSpec{
 		K:        int(h.K),
 		Theta:    int(h.Theta),

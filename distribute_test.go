@@ -63,8 +63,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// The fetched searcher answers identically to the source.
 	for q := NodeID(0); q < 10; q++ {
-		want, err1 := src.DiscoverUnattributed(q)
-		have, err2 := got.DiscoverUnattributed(q)
+		want, err1 := discoverVariant(context.Background(), src, "codu", q, 0)
+		have, err2 := discoverVariant(context.Background(), got, "codu", q, 0)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("q=%d: err %v vs %v", q, err1, err2)
 		}

@@ -19,9 +19,16 @@
 //	s, err := cod.NewSearcher(g, cod.Options{K: 5})
 //	community, err := s.Discover(q, attr)   // CODL: LORE + HIMOR
 //
+//	pq, err := s.Prepare("ML and variant=codr")  // CODR, by expression
+//	community, err = pq.Discover(q)
+//
 // Searcher construction performs the offline work (agglomerative
 // clustering of the graph and HIMOR index construction); Discover then
 // answers queries in milliseconds on graphs with tens of thousands of
-// nodes. DiscoverUnattributed and DiscoverGlobal expose the paper's CODU
-// and CODR variants for comparison.
+// nodes. Discover is the single-attribute CODL shorthand; query
+// expressions (Prepare, and Query.Expr in DiscoverBatch) pick the paper's
+// CODU and CODR variants and CODL⁻ for comparison, and add compound
+// predicates, community filters and per-query knobs. Searcher,
+// DynamicSearcher and HeteroSearcher all run their queries through one
+// path, so each honours the same Options and validation.
 package cod

@@ -1,9 +1,13 @@
 package cod
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+
+	"github.com/codsearch/cod/internal/obs"
 )
 
 func TestDynamicSearcher(t *testing.T) {
@@ -79,13 +83,17 @@ func TestDynamicSearcherValidatesAndRanks(t *testing.T) {
 	}
 	n, a := NodeID(g.N()), AttrID(g.NumAttrs())
 	for _, bad := range []struct{ q, attr int32 }{{-1, 0}, {n, 0}, {0, -1}, {0, a}} {
-		for name, run := range map[string]func(NodeID, AttrID) (Community, error){
-			"Discover": d.Discover, "DiscoverGlobal": d.DiscoverGlobal,
-		} {
-			var re *RangeError
-			if _, err := run(bad.q, bad.attr); !errors.As(err, &re) {
-				t.Errorf("%s(%d, %d): err = %v, want *RangeError", name, bad.q, bad.attr, err)
-			}
+		var re *RangeError
+		if _, err := d.Discover(bad.q, bad.attr); !errors.As(err, &re) {
+			t.Errorf("Discover(%d, %d): err = %v, want *RangeError", bad.q, bad.attr, err)
+		}
+	}
+	// Expressions share the validation: an out-of-range node is a
+	// *RangeError (an out-of-range attribute is a positioned parse error).
+	for _, q := range []NodeID{-1, n} {
+		var re *RangeError
+		if _, err := discoverVariant(context.Background(), d, "codr", q, 0); !errors.As(err, &re) {
+			t.Errorf("codr node %d: err = %v, want *RangeError", q, err)
 		}
 	}
 
@@ -132,5 +140,128 @@ func TestDynamicSearcherValidatesAndRanks(t *testing.T) {
 	}
 	if ranked == 0 {
 		t.Fatal("no query found a community; the rank check checked nothing")
+	}
+}
+
+// TestDynamicSearcherMatchesSearcher locks the one query path: before any
+// Flush, a DynamicSearcher answers every query byte-identically to a
+// Searcher with the same Options — community, rank, trace ID and recorded
+// seed — through Discover, Prepare and DiscoverBatch.
+func TestDynamicSearcherMatchesSearcher(t *testing.T) {
+	g := buildTestGraph(t)
+	queries := determinismQueries(g)
+	exprs := func(q Query) []string {
+		b := (q.Attr + 1) % AttrID(g.NumAttrs())
+		return []string{
+			fmt.Sprintf("%d", q.Attr),
+			fmt.Sprintf("%d and variant=codr", q.Attr),
+			"variant=codu",
+			fmt.Sprintf("(%d or %d) and size>=3", q.Attr, b),
+			fmt.Sprintf("%d and adaptive=true", q.Attr),
+		}
+	}
+	// traced runs one query with a fresh trace and renders its answer,
+	// trace ID and recorded seed.
+	traced := func(run func(context.Context) (Community, error)) string {
+		tr := obs.NewTrace()
+		com, err := run(obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr)))
+		seed, ok := tr.Seed()
+		return fmt.Sprintf("%+v err=%v trace=%s seed=%d/%t", com, err, tr.ID(), seed, ok)
+	}
+	for _, opts := range []Options{
+		{K: 3, Theta: 4, Seed: 97},
+		{K: 3, Theta: 4, Seed: 98, Workers: 2, SampleCache: 8, CacheHierarchies: true},
+	} {
+		s, err := NewSearcher(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDynamicSearcher(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch []Query
+		for _, q := range queries {
+			want := traced(func(ctx context.Context) (Community, error) { return s.DiscoverCtx(ctx, q.Node, q.Attr) })
+			got := traced(func(ctx context.Context) (Community, error) { return d.DiscoverCtx(ctx, q.Node, q.Attr) })
+			if got != want {
+				t.Errorf("seed %d q=%d Discover: dynamic %s, searcher %s", opts.Seed, q.Node, got, want)
+			}
+			for _, expr := range exprs(q) {
+				batch = append(batch, Query{Node: q.Node, Expr: expr})
+				spq, err1 := s.Prepare(expr)
+				dpq, err2 := d.Prepare(expr)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%q: %v / %v", expr, err1, err2)
+				}
+				want := traced(func(ctx context.Context) (Community, error) { return spq.DiscoverCtx(ctx, q.Node) })
+				got := traced(func(ctx context.Context) (Community, error) { return dpq.DiscoverCtx(ctx, q.Node) })
+				if got != want {
+					t.Errorf("seed %d q=%d %q: dynamic %s, searcher %s", opts.Seed, q.Node, expr, got, want)
+				}
+			}
+		}
+		want := batchBytes(s.DiscoverBatch(batch, 2))
+		if got := batchBytes(d.DiscoverBatch(batch, 2)); got != want {
+			t.Errorf("seed %d DiscoverBatch differs:\n--- searcher\n%s--- dynamic\n%s", opts.Seed, want, got)
+		}
+	}
+}
+
+// TestDynamicSearcherHonorsOptions: a DynamicSearcher builds its engine from
+// the same Options mapping as a Searcher, so Adaptive stages its sample
+// step, SampleCache serves a repeated shared-pool query from the cache, and
+// Balanced, which Flush could not keep, is rejected.
+func TestDynamicSearcherHonorsOptions(t *testing.T) {
+	g := buildTestGraph(t)
+	q := determinismQueries(g)[0]
+	steps := func(run func(context.Context) (Community, error)) string {
+		tr := obs.NewTrace()
+		if _, err := run(obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr))); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, st := range tr.Steps() {
+			out = append(out, st.Kind+"="+st.Outcome)
+		}
+		return strings.Join(out, " ")
+	}
+
+	d, err := NewDynamicSearcher(g, Options{K: 3, Theta: 4, Seed: 5, SampleCache: 8,
+		Adaptive: AdaptiveOptions{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := 0
+	for _, q := range determinismQueries(g) {
+		got := steps(func(ctx context.Context) (Community, error) { return d.DiscoverCtx(ctx, q.Node, q.Attr) })
+		if !strings.Contains(got, "sample=") {
+			continue // answered by the index
+		}
+		sampled++
+		if !strings.Contains(got, "evaluate=staged") ||
+			!(strings.Contains(got, "sample=exhausted") || strings.Contains(got, "sample=early_stop")) {
+			t.Errorf("q=%d: adaptive CODL query traced %q, want a staged sample step", q.Node, got)
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("every query hit the index; no sample step was checked")
+	}
+
+	d, err = NewDynamicSearcher(g, Options{K: 3, Theta: 4, Seed: 5, SampleCache: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sample=cache_miss", "sample=cache_hit"} {
+		got := steps(func(ctx context.Context) (Community, error) {
+			return discoverVariant(ctx, d, "codu", q.Node, 0)
+		})
+		if !strings.Contains(got, want) {
+			t.Errorf("cached codu query traced %q, want %s", got, want)
+		}
+	}
+
+	if _, err := NewDynamicSearcher(g, Options{Balanced: true}); err == nil {
+		t.Error("Balanced DynamicSearcher accepted; Flush would drop the rebalancing")
 	}
 }

@@ -7,13 +7,13 @@
 // stand-in: CODL (attribute-aware local reclustering), CODU (topology only)
 // and CODR (global reclustering), reproducing the paper's qualitative
 // finding that CODL serves lower-influence query nodes with denser,
-// more on-topic communities.
+// more on-topic communities. Discover runs CODL; the other variants are
+// picked by query expression (variant=codu, variant=codr).
 //
 // Run with: go run ./examples/academic
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -44,15 +44,16 @@ func main() {
 	fmt.Println("\nchair  area  method  found  size  ρ       φ       conductance")
 	for _, q := range chairs {
 		area := g.Attrs(q)[0]
-		for _, m := range []struct {
-			name string
-			run  func() (cod.Community, error)
-		}{
-			{"CODL", func() (cod.Community, error) { return s.Discover(q, area) }},
-			{"CODU", func() (cod.Community, error) { return s.DiscoverUnattributed(q) }},
-			{"CODR", func() (cod.Community, error) { return s.DiscoverGlobal(q, area) }},
+		for _, m := range []struct{ name, expr string }{
+			{"CODL", fmt.Sprintf("%d", area)},
+			{"CODU", "variant=codu"},
+			{"CODR", fmt.Sprintf("%d and variant=codr", area)},
 		} {
-			com, err := m.run()
+			pq, err := s.Prepare(m.expr)
+			if err != nil {
+				log.Fatal(err)
+			}
+			com, err := pq.Discover(q)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -77,7 +78,11 @@ func main() {
 	// size, and relax k — all without touching the Searcher's options.
 	if len(chairs) > 0 {
 		expr := fmt.Sprintf("(Neural_Networks or Theory) and size>=10 and k=7 and node=%d", chairs[0])
-		com, err := s.DiscoverQuery(context.Background(), cod.Query{Expr: expr})
+		pq, err := s.Prepare(expr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		com, err := pq.Discover(chairs[0])
 		if err != nil {
 			log.Fatal(err)
 		}

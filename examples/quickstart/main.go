@@ -5,7 +5,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -103,7 +102,11 @@ func main() {
 	// equal predicates normalize to one canonical form — and one
 	// sample-cache entry — however they are spelled.
 	const orExpr = "(DB or ML) and size>=3"
-	comOr, err := s.DiscoverQuery(context.Background(), cod.Query{Node: 0, Expr: orExpr})
+	pqOr, err := s.Prepare(orExpr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	comOr, err := pqOr.Discover(0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -214,8 +214,9 @@ func batchDigest(t *testing.T, s *Searcher, g *Graph, qs []goldenQuery) string {
 }
 
 // coraCases runs the four variants with IC defaults on cora through the live
-// entry points, so the Searcher's own seed sequence and each query's trace
-// ID and recorded seed are pinned too.
+// entry points — Discover for CODL, a prepared expression for the others —
+// so the Searcher's own seed sequence and each query's trace ID and
+// recorded seed are pinned too.
 func coraCases(t *testing.T, out map[string]string) {
 	t.Helper()
 	g, err := GenerateDataset("cora", 11)
@@ -237,18 +238,10 @@ func coraCases(t *testing.T, out map[string]string) {
 			ctx := obs.WithRecorder(context.Background(), rec)
 			var com Community
 			var err error
-			switch v {
-			case "CODL":
+			if v == "CODL" {
 				com, err = s.DiscoverCtx(ctx, q.node, q.attr)
-			case "CODR":
-				com, err = s.DiscoverGlobalCtx(ctx, q.node, q.attr)
-			case "CODU":
-				com, err = s.DiscoverUnattributedCtx(ctx, q.node)
-			case "CODL-":
-				var pq *PreparedQuery
-				if pq, err = s.Prepare(fmt.Sprintf("variant=codl- and %d", q.attr)); err == nil {
-					com, err = pq.DiscoverCtx(ctx, q.node)
-				}
+			} else {
+				com, err = discoverVariant(ctx, s, strings.ToLower(v), q.node, q.attr)
 			}
 			if err != nil {
 				t.Fatalf("cora %s q=%d: %v", v, q.node, err)

@@ -1,6 +1,9 @@
 package cod
 
 import (
+	"context"
+	"fmt"
+
 	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/hin"
 )
@@ -61,33 +64,50 @@ func (g *HeteroGraph) TypeOf(v NodeID) int32 { return g.h.TypeOf(v) }
 func (g *HeteroGraph) Attrs(v NodeID) []AttrID { return g.h.Attrs(v) }
 
 // HeteroSearcher answers COD queries on a HIN through a meta-path
-// projection (anchor-type nodes only).
-type HeteroSearcher struct{ s *hin.Searcher }
+// projection (anchor-type nodes only). Its queries take Searcher's path on
+// the projected graph; it only checks and maps HIN node ids.
+type HeteroSearcher struct {
+	core queryCore // over the projection
+	path MetaPath
+	proj *hin.Projection
+}
 
 // NewHeteroSearcher projects g along the meta-path and builds the COD
 // offline state on the projection.
 func NewHeteroSearcher(g *HeteroGraph, path MetaPath, opts Options) (*HeteroSearcher, error) {
-	params := engine.Params{K: opts.K, Theta: opts.Theta, Beta: opts.Beta, Linkage: opts.Linkage,
-		Seed: opts.Seed, Model: opts.Model, Balanced: opts.Balanced}
-	s, err := hin.NewSearcher(g.h, path, params, 0)
+	proj, err := hin.Project(g.h, path, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &HeteroSearcher{s: s}, nil
+	params, cfg := opts.engineConfig()
+	eng, err := engine.Build(context.Background(), proj.G, params, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &HeteroSearcher{core: newQueryCore(&Graph{g: proj.G}, eng), path: path, proj: proj}, nil
 }
 
 // Discover finds the characteristic community of the anchor-type node q
-// for the query attribute; the result holds HIN node ids.
+// for the query attribute; the result holds HIN node ids. An out-of-range
+// node or attribute is a *RangeError, as on a Searcher.
 func (hs *HeteroSearcher) Discover(q NodeID, attr AttrID) (Community, error) {
-	com, err := hs.s.Discover(q, attr)
-	if err != nil {
-		return Community{}, err
+	if n := len(hs.proj.FromHIN); q < 0 || int(q) >= n {
+		return Community{}, &RangeError{What: "query node", Value: int64(q), N: n}
 	}
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}, nil
+	lq := hs.proj.FromHIN[q]
+	if lq < 0 {
+		return Community{}, fmt.Errorf("cod: query node %d is not of the meta-path anchor type %d",
+			q, hs.path.Start)
+	}
+	com, err := hs.core.Discover(lq, attr)
+	// The answer's node slice is freshly built, so it maps in place.
+	for i, lv := range com.Nodes {
+		com.Nodes[i] = hs.proj.ToHIN[lv]
+	}
+	return com, err
 }
 
 // ProjectionSize reports the projected homogeneous graph's nodes and edges.
 func (hs *HeteroSearcher) ProjectionSize() (nodes, edges int) {
-	p := hs.s.Projection()
-	return p.G.N(), p.G.M()
+	return hs.proj.G.N(), hs.proj.G.M()
 }

@@ -1,6 +1,9 @@
 package cod
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func buildHIN(t *testing.T) *HeteroGraph {
 	t.Helper()
@@ -69,12 +72,17 @@ func TestHeteroSearcher(t *testing.T) {
 			t.Error("query author missing from its community")
 		}
 	}
-	// non-anchor and invalid queries rejected
-	if _, err := s.Discover(6, 0); err == nil {
-		t.Error("paper node accepted")
+	// Out-of-range nodes and attributes are a *RangeError, as on a
+	// Searcher; a node that is not of the anchor type has its own error.
+	for _, bad := range []struct{ q, attr int32 }{{-1, 0}, {11, 0}, {1, 7}, {1, -1}, {1, 2}} {
+		var re *RangeError
+		if _, err := s.Discover(bad.q, bad.attr); !errors.As(err, &re) {
+			t.Errorf("Discover(%d, %d): err = %v, want *RangeError", bad.q, bad.attr, err)
+		}
 	}
-	if _, err := s.Discover(-1, 0); err == nil {
-		t.Error("negative node accepted")
+	var re *RangeError
+	if _, err := s.Discover(6, 0); err == nil || errors.As(err, &re) {
+		t.Errorf("paper node: err = %v, want the anchor-type error", err)
 	}
 }
 

@@ -164,7 +164,7 @@ func BadTransferForward(a *arenaescapefix.Arena) arenaescapefix.Pool {
 // --- silent shapes ---
 
 // Transfer returns the view without releasing: ownership moves to the
-// caller (this is sampleRestricted's shape), recorded as a fact.
+// caller (this is the engine's sampleSource.draw shape), recorded as a fact.
 func Transfer(a *arenaescapefix.Arena) []int {
 	return a.Ints(4)
 }

@@ -19,16 +19,14 @@
 package dynamic
 
 import (
-	"fmt"
-
 	"context"
+	"fmt"
 
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
-	"github.com/codsearch/cod/internal/obs"
 )
 
 // Strategy selects how Flush rebuilds the hierarchy.
@@ -45,40 +43,37 @@ const (
 )
 
 // Updater owns a graph plus the COD offline state and applies edge
-// insertions incrementally. It is not safe for concurrent use.
+// insertions incrementally; queries run on its engine, which every flush
+// rebinds to the updated state. It is not safe for concurrent use.
 type Updater struct {
-	g      *graph.Graph
-	params engine.Params
-	tree   *hier.Tree
-	index  *core.Himor
-	eng    *engine.Engine
+	g   *graph.Graph
+	eng *engine.Engine
 
 	pending [][2]graph.NodeID
 	flushes int
 	locals  int
 }
 
-// New builds the initial state (clustering + HIMOR) for g.
-func New(g *graph.Graph, params engine.Params) (*Updater, error) {
-	return NewWithConfig(g, params, engine.Config{})
-}
-
-// NewWithConfig is New with an explicit engine configuration — enabling the
-// per-attribute sample cache or attribute-tree caching for serving setups.
-// Flush invalidates both through the engine epoch.
-func NewWithConfig(g *graph.Graph, params engine.Params, cfg engine.Config) (*Updater, error) {
+// New builds the initial state (clustering + HIMOR) for g and an engine
+// over it with cfg (the sample cache and attribute-tree cache, which every
+// flush invalidates through the engine epoch). Balanced hierarchies are
+// rejected: a flush reclusters without rebalancing.
+func New(g *graph.Graph, params engine.Params, cfg engine.Config) (*Updater, error) {
+	if params.Balanced {
+		return nil, fmt.Errorf("dynamic: balanced hierarchies are not supported: a flush reclusters without rebalancing")
+	}
 	eng, err := engine.Build(context.Background(), g, params, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Updater{g: g, params: eng.Params(), tree: eng.Tree(), index: eng.Index(), eng: eng}, nil
+	return &Updater{g: g, eng: eng}, nil
 }
 
 // Graph returns the current graph (pending edges excluded until Flush).
 func (u *Updater) Graph() *graph.Graph { return u.g }
 
 // Tree returns the current hierarchy.
-func (u *Updater) Tree() *hier.Tree { return u.tree }
+func (u *Updater) Tree() *hier.Tree { return u.eng.Tree() }
 
 // Pending returns the number of buffered edge insertions.
 func (u *Updater) Pending() int { return len(u.pending) }
@@ -107,15 +102,16 @@ func (u *Updater) Flush(s Strategy) error {
 		return nil
 	}
 	ng := u.applyPending()
+	t, p := u.eng.Tree(), u.eng.Params()
 
 	// Affected community: lca over every touched endpoint.
-	affected := u.tree.LeafOf(u.pending[0][0])
+	affected := t.LeafOf(u.pending[0][0])
 	for _, e := range u.pending {
-		affected = u.tree.LCA(affected, u.tree.LeafOf(e[0]))
-		affected = u.tree.LCA(affected, u.tree.LeafOf(e[1]))
+		affected = t.LCA(affected, t.LeafOf(e[0]))
+		affected = t.LCA(affected, t.LeafOf(e[1]))
 	}
 	if s == Auto {
-		if !u.tree.IsLeaf(affected) && u.tree.Size(affected)*2 < ng.N() {
+		if !t.IsLeaf(affected) && t.Size(affected)*2 < ng.N() {
 			s = RebuildLocal
 		} else {
 			s = RebuildFull
@@ -124,38 +120,33 @@ func (u *Updater) Flush(s Strategy) error {
 
 	var nt *hier.Tree
 	var err error
-	if s == RebuildLocal && !u.tree.IsLeaf(affected) && affected != u.tree.Root() {
-		members := u.tree.Members(affected)
+	if s == RebuildLocal && !t.IsLeaf(affected) && affected != t.Root() {
+		members := t.Members(affected)
 		sub := graph.Induce(ng, members)
-		local, cerr := hac.Cluster(sub.G, u.params.Linkage)
+		local, cerr := hac.Cluster(sub.G, p.Linkage)
 		if cerr != nil {
 			return fmt.Errorf("dynamic: local recluster: %w", cerr)
 		}
-		nt, err = hier.Splice(u.tree, affected, local, sub.ToParent)
+		nt, err = hier.Splice(t, affected, local, sub.ToParent)
 		if err != nil {
 			return fmt.Errorf("dynamic: splice: %w", err)
 		}
 		u.locals++
 	} else {
-		nt, err = hac.Cluster(ng, u.params.Linkage)
+		nt, err = hac.Cluster(ng, p.Linkage)
 		if err != nil {
 			return fmt.Errorf("dynamic: full recluster: %w", err)
 		}
 	}
 
-	theta := u.params.Theta
-	if theta <= 0 {
-		theta = 10
-	}
-	sampler := engine.NewGraphSampler(ng, u.params.Model, graph.NewRand(graph.ItemSeed(u.params.Seed, u.flushes)))
-	u.index = core.BuildHimorWithSampler(ng, nt, sampler, theta)
+	sampler := engine.NewGraphSampler(ng, p.Model, graph.NewRand(graph.ItemSeed(p.Seed, u.flushes)))
+	index := core.BuildHimorWithSampler(ng, nt, sampler, p.Theta)
 	u.g = ng
-	u.tree = nt
 	u.pending = u.pending[:0]
 	u.flushes++
 	// Rebind bumps the engine epoch: cached sample pools and attribute
 	// trees from the pre-flush graph can never answer post-flush queries.
-	u.eng.Rebind(ng, nt, u.index)
+	u.eng.Rebind(ng, nt, index)
 	return nil
 }
 
@@ -172,35 +163,6 @@ func (u *Updater) applyPending() *graph.Graph {
 		_ = b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
-}
-
-// Query answers a COD query over the current state (Algorithm 3). Pending
-// edges are not visible until Flush.
-func (u *Updater) Query(q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	return u.QueryCtx(context.Background(), q, attr, seed)
-}
-
-// QueryCtx is Query with cancellation and instrumentation: a Recorder on
-// ctx receives the query's step spans, and its trace (if any) gets a
-// deterministic ID derived from seed unless one was already installed.
-func (u *Updater) QueryCtx(ctx context.Context, q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	obs.FromContext(ctx).EnsureTraceID(seed)
-	pl := u.eng.Compile(engine.VariantCODL, q, attr)
-	return u.eng.Execute(ctx, pl, graph.NewRand(seed))
-}
-
-// QueryGlobal answers a CODR-variant query (global attribute recluster)
-// over the current state, sharing the engine's caches with Query.
-func (u *Updater) QueryGlobal(q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	return u.QueryGlobalCtx(context.Background(), q, attr, seed)
-}
-
-// QueryGlobalCtx is QueryGlobal with cancellation and instrumentation (see
-// QueryCtx).
-func (u *Updater) QueryGlobalCtx(ctx context.Context, q graph.NodeID, attr graph.AttrID, seed uint64) (engine.Community, error) {
-	obs.FromContext(ctx).EnsureTraceID(seed)
-	pl := u.eng.Compile(engine.VariantCODR, q, attr)
-	return u.eng.Execute(ctx, pl, graph.NewRand(seed))
 }
 
 // Engine exposes the updater's query engine (shared state, epoch, caches).

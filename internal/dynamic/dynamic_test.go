@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,11 +16,23 @@ func newUpdater(t *testing.T) *Updater {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := New(ds.G, engine.Params{K: 5, Theta: 4, Seed: 17})
+	u, err := New(ds.G, engine.Params{K: 5, Theta: 4, Seed: 17}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// query runs one plan of variant v on u's current engine state with the
+// stream seeded by seed.
+func query(t *testing.T, u *Updater, v engine.Variant, q graph.NodeID, attr graph.AttrID, seed uint64) engine.Community {
+	t.Helper()
+	e := u.Engine()
+	com, err := e.Execute(context.Background(), e.Compile(v, q, attr), graph.NewRand(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return com
 }
 
 func TestAddEdgeValidation(t *testing.T) {
@@ -123,10 +136,7 @@ func TestFullFlushAndQuery(t *testing.T) {
 			break
 		}
 	}
-	com, err := u.Query(q, u.Graph().Attrs(q)[0], 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	com := query(t, u, engine.VariantCODL, q, u.Graph().Attrs(q)[0], 99)
 	if com.Found && !contains(com.Nodes, q) {
 		t.Error("community missing query node")
 	}
@@ -206,7 +216,7 @@ func TestFlushInvalidatesSampleCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := NewWithConfig(ds.G, engine.Params{K: 5, Theta: 4, Seed: 17},
+		u, err := New(ds.G, engine.Params{K: 5, Theta: 4, Seed: 17},
 			engine.Config{SampleCache: 2, CacheAttrTrees: true})
 		if err != nil {
 			t.Fatal(err)
@@ -220,14 +230,8 @@ func TestFlushInvalidatesSampleCache(t *testing.T) {
 		}
 		attr := u.Graph().Attrs(q)[0]
 		var out []string
-		c1, err := u.QueryGlobal(q, attr, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := u.QueryGlobal(q, attr, 99) // cache hit: pool + attr tree reused
-		if err != nil {
-			t.Fatal(err)
-		}
+		c1 := query(t, u, engine.VariantCODR, q, attr, 99)
+		c2 := query(t, u, engine.VariantCODR, q, attr, 99) // cache hit: pool + attr tree reused
 		if fmt.Sprintf("%+v", c1) != fmt.Sprintf("%+v", c2) {
 			t.Fatalf("cache hit differs from miss: %+v vs %+v", c2, c1)
 		}
@@ -241,10 +245,7 @@ func TestFlushInvalidatesSampleCache(t *testing.T) {
 		if u.Engine().Epoch() != 1 {
 			t.Fatalf("epoch after flush = %d, want 1", u.Engine().Epoch())
 		}
-		c3, err := u.QueryGlobal(q, attr, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c3 := query(t, u, engine.VariantCODR, q, attr, 99)
 		out = append(out, fmt.Sprintf("%+v", c3))
 		return out
 	}

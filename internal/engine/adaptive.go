@@ -3,11 +3,8 @@ package engine
 import (
 	"context"
 	"math"
-	"math/rand/v2"
 
 	"github.com/codsearch/cod/internal/core"
-	"github.com/codsearch/cod/internal/graph"
-	"github.com/codsearch/cod/internal/influence"
 	"github.com/codsearch/cod/internal/obs"
 )
 
@@ -153,35 +150,22 @@ func minGap(margins []core.LevelMargin, best, t int) float64 {
 	return gap
 }
 
-// stagedDraw extends the RR pool to cum cumulative samples and returns the
-// full pool so far; each stage's pool is a prefix of the next. Implementations
-// must draw sample i identically to the non-staged path's i-th draw, so a
-// run that reaches the final stage holds exactly the full-budget pool.
-type stagedDraw func(ctx context.Context, cum int) (influence.Pool, error)
-
-// runStaged is the fused sample+evaluate loop of an adaptive plan: it grows
-// the pool per the stage schedule, folds each stage's new samples into a
-// stage-resumable compressed evaluation, and stops as soon as certify
-// accepts — or at the final stage, whose answer is byte-identical to the
-// non-adaptive evaluation of the full pool. It stores the evaluation result
-// in st and returns the sample step's outcome plus the realized stage count
-// and certified gap for the step trace.
-func (e *Engine) runStaged(ctx context.Context, pl *Plan, step Step, sc *queryScratch, rng *rand.Rand, st *execState, ad Adaptive) (outcome string, stages int, gap float64, err error) {
+// runStaged is the fused sample+evaluate loop of an adaptive plan: it draws
+// the plan's sample source stage by stage per the schedule, folds each
+// stage's new samples into a stage-resumable compressed evaluation, and
+// stops as soon as certify accepts — or at the final stage, whose pool is
+// the full-budget pool and whose answer is byte-identical to the
+// non-adaptive evaluation. It stores the evaluation result in st and
+// returns the sample step's outcome plus the realized stage count and
+// certified gap for the step trace.
+func runStaged(ctx context.Context, pl *Plan, src *sampleSource, sc *queryScratch, st *execState, ad Adaptive) (outcome string, stages int, gap float64, err error) {
 	ad = ad.withDefaults()
 	rec := obs.FromContext(ctx)
-
-	var total int
-	var draw stagedDraw
-	if step.Sample == SampleRestricted {
-		total, draw = e.stagedRestricted(sc, st.rec, rng)
-	} else {
-		total, draw = e.stagedShared(sc, pl.predCacheKey())
-	}
-
+	total := src.total
 	se := core.NewStagedEval(st.ch, pl.K, sc.eval)
 	sched := stageSchedule(total, ad.Stages)
 	for si, cum := range sched {
-		pool, err := draw(ctx, cum)
+		pool, err := src.draw(ctx, sc, cum)
 		if err != nil {
 			return errOutcome(err), si, 0, err
 		}
@@ -209,72 +193,4 @@ func (e *Engine) runStaged(ctx context.Context, pl *Plan, step Step, sc *querySc
 	}
 	// Unreachable: the schedule is never empty and its last stage returns.
 	return "exhausted", len(sched), 0, nil
-}
-
-// stagedRestricted returns the θ·|C_ℓ| budget and a draw that continues the
-// historical restricted sampling loop across stages: the pause between
-// stages does not touch the query rng, so the cumulative draw order is
-// byte-identical to sampleRestricted's.
-func (e *Engine) stagedRestricted(sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) (int, stagedDraw) {
-	members := rec.Sub.ToParent
-	in := sc.memberMask(members)
-	member := func(u graph.NodeID) bool { return in[u] }
-	total := e.p.Theta * len(members)
-	drawn := 0
-	return total, func(ctx context.Context, cum int) (influence.Pool, error) {
-		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-		start := drawn
-		for ; drawn < cum; drawn++ {
-			if drawn%influence.PollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					span.EndItems(drawn - start)
-					return influence.Pool{}, &influence.CanceledError{
-						Op: "engine: restricted rr sampling", Done: drawn, Total: total, Cause: err}
-				}
-			}
-			sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
-		}
-		span.EndItems(drawn - start)
-		return sc.arena.Pool(), nil
-	}
-}
-
-// stagedShared returns the θ·N budget and a draw over the shared pool. With
-// the sample cache enabled the full (attr, epoch)-keyed pool is fetched once
-// — its content is already a pure function of the key — and stages evaluate
-// growing prefixes of it; without a cache, stages continue the query-rng
-// sampling loop exactly where the previous stage paused, matching the
-// influence.BatchPoolCtx draw order.
-func (e *Engine) stagedShared(sc *queryScratch, pk predKey) (int, stagedDraw) {
-	total := e.p.Theta * e.g.N()
-	if e.cache != nil {
-		var pool influence.Pool
-		return total, func(ctx context.Context, cum int) (influence.Pool, error) {
-			if pool.Len() == 0 {
-				p, _, err := e.cache.get(ctx, e, pk, total, sc.arena)
-				if err != nil {
-					return influence.Pool{}, err
-				}
-				pool = p
-			}
-			return pool.Prefix(cum), nil
-		}
-	}
-	drawn := 0
-	return total, func(ctx context.Context, cum int) (influence.Pool, error) {
-		span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-		start := drawn
-		for ; drawn < cum; drawn++ {
-			if drawn%influence.PollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					span.EndItems(drawn - start)
-					return influence.Pool{}, &influence.CanceledError{
-						Op: "influence: rr batch", Done: drawn, Total: total, Cause: err}
-				}
-			}
-			sc.sampler.RRGraphInto(sc.arena)
-		}
-		span.EndItems(drawn - start)
-		return sc.arena.Pool(), nil
-	}
 }

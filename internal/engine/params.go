@@ -17,7 +17,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -131,6 +130,3 @@ type Community struct {
 
 // Size returns |C*| (0 when not found).
 func (c Community) Size() int { return len(c.Nodes) }
-
-// ErrNotInGraph is returned by facade-level validation helpers.
-var ErrNotInGraph = fmt.Errorf("engine: query node out of range")

@@ -376,32 +376,28 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 		return Community{}, "unknown", false, nil
 
 	case StepSample:
+		src, err := e.newSampleSource(ctx, pl, step, sc, rng, st.rec)
+		if err != nil {
+			return Community{}, errOutcome(err), false, err
+		}
 		if ad := e.adaptiveFor(pl); ad.Enabled {
 			// Bounded-error mode fuses sampling and evaluation: the pool
 			// grows in stages, each swept and tested for certification, so
 			// the step's outcome is the decision (early_stop/exhausted)
 			// rather than the pool's provenance.
-			outcome, stages, gap, err := e.runStaged(ctx, pl, step, sc, rng, st, ad)
+			outcome, stages, gap, err := runStaged(ctx, pl, &src, sc, st, ad)
 			st.staged, st.stages, st.gap = true, stages, gap
 			if err != nil {
 				return Community{}, outcome, false, err
 			}
 			return Community{}, outcome, false, nil
 		}
-		if step.Sample == SampleRestricted {
-			pool, err := e.sampleRestricted(ctx, sc, st.rec, rng)
-			if err != nil {
-				return Community{}, errOutcome(err), false, err
-			}
-			st.pool = pool
-			return Community{}, "restricted", false, nil
-		}
-		pool, outcome, err := e.sampleShared(ctx, sc, pl.predCacheKey())
+		pool, err := src.draw(ctx, sc, src.total)
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
 		st.pool = pool
-		return Community{}, outcome, false, nil
+		return Community{}, src.outcome, false, nil
 
 	case StepEvaluate:
 		if st.staged {
@@ -467,46 +463,88 @@ func (e *Engine) probeIndex(ctx context.Context, q graph.NodeID, k int, rec *cor
 	return Community{}, false
 }
 
-// sampleShared fills the θ·N whole-graph pool: from the per-predicate cache
-// when enabled (the query rng is then unused — pool content is a pure
-// function of seed, predicate key and epoch; a miss samples it through the
-// scratch arena), else from the query rng (already bound to the scratch
-// sampler) into the scratch arena, byte-identical to the historical
-// influence.BatchCtx stream. The outcome labels the step span:
-// cache_hit/cache_miss through the cache, sampled without one.
-func (e *Engine) sampleShared(ctx context.Context, sc *queryScratch, pk predKey) (influence.Pool, string, error) {
-	count := e.p.Theta * e.g.N()
-	if e.cache != nil {
-		pool, hit, err := e.cache.get(ctx, e, pk, count, sc.arena)
-		if hit {
-			return pool, "cache_hit", err
-		}
-		return pool, "cache_miss", err
-	}
-	pool, err := influence.BatchPoolCtx(ctx, sc.sampler, count, sc.arena)
-	return pool, "sampled", err
+// sampleSource is a plan's RR sample pool, drawn up to a cumulative count:
+// a plain plan draws it whole, the adaptive loop stage by stage. A draw
+// continues exactly where the previous one paused and nothing between
+// draws touches the query rng, so sample i is the same however the pool is
+// drawn, and a run that draws the whole budget holds the full-budget pool.
+type sampleSource struct {
+	total int // the plan's budget: θ·|C_ℓ| restricted, θ·N shared
+	// outcome labels a plain plan's sample step: restricted or sampled for
+	// the query rng, cache_hit or cache_miss for a cached pool.
+	outcome string
+
+	// cached marks a shared pool fetched whole from the sample cache (its
+	// content is a pure function of the predicate key and epoch); draws are
+	// its prefixes.
+	cached bool
+	pool   influence.Pool
+
+	// Otherwise samples come from the query rng, already bound to the
+	// scratch sampler, into the scratch arena: confined to members when the
+	// plan samples C_ℓ, over the whole graph when members is nil.
+	op      string // the CanceledError's Op
+	rng     *rand.Rand
+	members []graph.NodeID
+	member  func(graph.NodeID) bool
+	drawn   int
 }
 
-// sampleRestricted draws θ·|C_ℓ| RR graphs confined to C_ℓ, sources drawn
-// uniformly from the members by the query rng — the same draw order as the
-// historical CODL loop, arena-backed.
-func (e *Engine) sampleRestricted(ctx context.Context, sc *queryScratch, rec *core.Reclustering, rng *rand.Rand) (influence.Pool, error) {
-	members := rec.Sub.ToParent
-	in := sc.memberMask(members)
-	member := func(u graph.NodeID) bool { return in[u] }
-	total := e.p.Theta * len(members)
-	sample := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	for i := 0; i < total; i++ {
-		if i%influence.PollEvery == 0 {
+// newSampleSource builds the sample step's source: θ·|C_ℓ| RR graphs
+// confined to C_ℓ with sources drawn uniformly from its members by the
+// query rng (the historical CODL loop), or the θ·N whole-graph pool — from
+// the per-predicate cache when the engine has one, fetched here through
+// sc's arena (which a miss Resets), else from the query rng in the
+// influence.BatchPoolCtx draw order.
+func (e *Engine) newSampleSource(ctx context.Context, pl *Plan, step Step, sc *queryScratch, rng *rand.Rand, rec *core.Reclustering) (sampleSource, error) {
+	if step.Sample == SampleRestricted {
+		members := rec.Sub.ToParent
+		in := sc.memberMask(members)
+		return sampleSource{total: e.p.Theta * len(members), outcome: "restricted",
+			op: "engine: restricted rr sampling", rng: rng, members: members,
+			member: func(u graph.NodeID) bool { return in[u] }}, nil
+	}
+	total := e.p.Theta * e.g.N()
+	if e.cache == nil {
+		return sampleSource{total: total, outcome: "sampled", op: "influence: rr batch"}, nil
+	}
+	pool, hit, err := e.cache.get(ctx, e, pl.predCacheKey(), total, sc.arena)
+	if err != nil {
+		return sampleSource{}, err
+	}
+	src := sampleSource{total: total, outcome: "cache_miss", cached: true, pool: pool}
+	if hit {
+		src.outcome = "cache_hit"
+	}
+	return src, nil
+}
+
+// draw extends the pool to cum cumulative samples and returns the pool so
+// far; each draw's pool is a prefix of the next. Every draw from the query
+// rng is one rr_sample span, and a cancel reports the samples drawn across
+// all draws against the plan's budget. The returned pool aliases sc's
+// arena (or the cache entry), so it lives until Execute releases sc.
+func (src *sampleSource) draw(ctx context.Context, sc *queryScratch, cum int) (influence.Pool, error) {
+	if src.cached {
+		return src.pool.Prefix(cum), nil
+	}
+	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
+	start := src.drawn
+	for ; src.drawn < cum; src.drawn++ {
+		if src.drawn%influence.PollEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				sample.EndItems(i)
+				span.EndItems(src.drawn - start)
 				return influence.Pool{}, &influence.CanceledError{
-					Op: "engine: restricted rr sampling", Done: i, Total: total, Cause: err}
+					Op: src.op, Done: src.drawn, Total: src.total, Cause: err}
 			}
 		}
-		sc.sampler.RRGraphWithinInto(sc.arena, members[rng.IntN(len(members))], member)
+		if src.members != nil {
+			sc.sampler.RRGraphWithinInto(sc.arena, src.members[src.rng.IntN(len(src.members))], src.member)
+		} else {
+			sc.sampler.RRGraphInto(sc.arena)
+		}
 	}
-	sample.EndItems(total)
+	span.EndItems(src.drawn - start)
 	return sc.arena.Pool(), nil
 }
 

@@ -34,27 +34,9 @@ func ParallelBatch(g *graph.Graph, model Model, count int, seed uint64, workers 
 // pool, which left metrics blind to how much sampling a shed query had
 // already paid for.
 func ParallelBatchCtx(ctx context.Context, g *graph.Graph, model Model, count int, seed uint64, workers int) (Pool, error) {
-	return ParallelBatchRangeCtx(ctx, g, model, 0, count, seed, workers)
-}
-
-// ParallelBatchRangeCtx samples items [lo, hi) of the per-item-seeded pool
-// defined by (g, model, seed): sample j of the result is item lo+j, drawn
-// from the PRNG stream seeded by graph.ItemSeed(seed, lo+j). Because every
-// item owns its stream, call boundaries are invisible — sampling [0, c₁),
-// [c₁, c₂), …, [cₖ, total) stage by stage concatenates to the
-// byte-identical pool a single [0, total) call produces. This is the
-// stage-resumable parallel primitive.
-//
-// Each stage call is its own rr_sample span, and the fan-in flushes the
-// stage's completed-sample count through the context Recorder even when a
-// cancel lands mid-stage — the same partial-progress contract as the
-// non-staged path, with Done/Total in *CanceledError scoped to this call's
-// range so staged callers can sum spans without double-counting.
-func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo, hi int, seed uint64, workers int) (Pool, error) {
-	count := max(hi-lo, 0)
 	workers = min(max(workers, 1), count)
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	if count == 0 {
+	if count <= 0 {
 		span.EndItems(0)
 		return Pool{}, nil
 	}
@@ -81,7 +63,7 @@ func ParallelBatchRangeCtx(ctx context.Context, g *graph.Graph, model Model, lo,
 				if (j-wlo)%PollEvery == 0 && ctx.Err() != nil {
 					return
 				}
-				graph.SeedPCG(src, graph.ItemSeed(seed, lo+j))
+				graph.SeedPCG(src, graph.ItemSeed(seed, j))
 				s.RRGraphInto(a)
 				done.Add(1)
 			}

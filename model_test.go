@@ -1,6 +1,9 @@
 package cod
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The whole pipeline must work under the linear threshold model too (the
 // framework is model-agnostic as long as RR-set evaluation applies).
@@ -31,7 +34,7 @@ func TestSearcherLinearThreshold(t *testing.T) {
 	if infl < 1 || infl > float64(g.N()) {
 		t.Errorf("LT influence %f out of range", infl)
 	}
-	comU, err := s.DiscoverUnattributed(q)
+	comU, err := discoverVariant(context.Background(), s, "codu", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,9 @@ type indexHeader struct {
 	Nodes    int64
 }
 
-func headerFor(opts Options, nodes int) indexHeader {
-	p := engine.Params{K: opts.K, Theta: opts.Theta, Beta: opts.Beta, Linkage: opts.Linkage,
-		Seed: opts.Seed, Model: opts.Model, Balanced: opts.Balanced}.WithDefaults()
+// headerFor records default-filled parameters p (an engine's own, or an
+// Options' engineConfig through WithDefaults) for a graph of nodes nodes.
+func headerFor(p engine.Params, nodes int) indexHeader {
 	var balanced uint8
 	if p.Balanced {
 		balanced = 1
@@ -94,7 +94,7 @@ func (s *Searcher) SaveIndex(w io.Writer) error {
 		return fmt.Errorf("cod: saving index magic: %w", err)
 	}
 	var hdr bytes.Buffer
-	if err := binary.Write(&hdr, binary.LittleEndian, headerFor(s.opts, s.g.N())); err != nil {
+	if err := binary.Write(&hdr, binary.LittleEndian, headerFor(s.eng.Params(), s.g.N())); err != nil {
 		return fmt.Errorf("cod: encoding index header: %w", err)
 	}
 	if _, err := w.Write(hdr.Bytes()); err != nil {
@@ -233,7 +233,8 @@ func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if err := binary.Read(bytes.NewReader(hdrBytes), binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("cod: decoding index header: %w", err)
 	}
-	if want := headerFor(opts, g.N()); hdr != want {
+	params, cfg := opts.engineConfig()
+	if want := headerFor(params.WithDefaults(), g.N()); hdr != want {
 		return nil, fmt.Errorf("%w: saved {k=%d θ=%d βbits=%x linkage=%d model=%d balanced=%d seed=%d n=%d}, "+
 			"requested {k=%d θ=%d βbits=%x linkage=%d model=%d balanced=%d seed=%d n=%d}",
 			ErrIndexParams,
@@ -260,17 +261,5 @@ func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cod: loading index: %w", err)
 	}
-	return searcherWithState(g, t, idx, opts), nil
-}
-
-func searcherWithState(g *Graph, t *hier.Tree, idx *core.Himor, opts Options) *Searcher {
-	params := engine.Params{K: opts.K, Theta: opts.Theta, Beta: opts.Beta, Linkage: opts.Linkage,
-		Seed: opts.Seed, Model: opts.Model, Balanced: opts.Balanced, Workers: opts.Workers}
-	cfg := engine.Config{SampleCache: opts.SampleCache, CacheAttrTrees: opts.CacheHierarchies,
-		Adaptive: opts.Adaptive}
-	return &Searcher{
-		g:    g,
-		opts: opts,
-		eng:  engine.New(g.internalGraph(), t, idx, params, cfg),
-	}
+	return &Searcher{newQueryCore(g, engine.New(g.internalGraph(), t, idx, params, cfg))}, nil
 }

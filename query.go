@@ -21,9 +21,9 @@ type ParseError = query.ParseError
 var ErrUnsatisfiable = query.ErrUnsatisfiable
 
 // PreparedQuery is a parsed, resolved and normalized query expression bound
-// to a Searcher: parse once, discover many times. Preparation is pure — it
+// to a searcher: parse once, discover many times. Preparation is pure — it
 // consumes no query seed — so preparing an expression never perturbs the
-// Searcher's deterministic query sequence.
+// searcher's deterministic query sequence.
 //
 // Expression language (see also the README's query-language section):
 //
@@ -37,7 +37,7 @@ var ErrUnsatisfiable = query.ErrUnsatisfiable
 // Semantically equal predicates normalize to one canonical form — and one
 // sample-cache key — however they are spelled.
 type PreparedQuery struct {
-	s        *Searcher
+	c        *queryCore
 	variant  engine.Variant
 	attr     AttrID     // lowered single-attribute target (pred == nil)
 	pred     *query.DNF // compound predicate, nil when lowered
@@ -50,23 +50,25 @@ type PreparedQuery struct {
 }
 
 // Prepare parses, resolves and normalizes a query expression against the
-// Searcher's graph. Errors are *ParseError values positioned in the input
+// searcher's graph. Errors are *ParseError values positioned in the input
 // (syntax, unknown or out-of-range attributes, misplaced filters/knobs),
-// or wrap ErrUnsatisfiable for contradictory predicates.
-func (s *Searcher) Prepare(expr string) (*PreparedQuery, error) {
+// or wrap ErrUnsatisfiable for contradictory predicates. Expressions are
+// the one way to pick a variant (variant=codu|codr|codl-), a compound
+// predicate, community filters or per-query knobs.
+func (c *queryCore) Prepare(expr string) (*PreparedQuery, error) {
 	p, err := query.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
 	var lookup func(string) (graph.AttrID, bool)
-	if s.g.names != nil {
-		lookup = s.g.AttrByName
+	if c.g.names != nil {
+		lookup = c.g.AttrByName
 	}
-	if err := p.Resolve(lookup, s.g.NumAttrs()); err != nil {
+	if err := p.Resolve(lookup, c.g.NumAttrs()); err != nil {
 		return nil, err
 	}
 
-	pq := &PreparedQuery{s: s, variant: engine.VariantCODL, k: p.Knobs.K}
+	pq := &PreparedQuery{c: c, variant: engine.VariantCODL, k: p.Knobs.K}
 	switch strings.ToLower(p.Knobs.Variant) {
 	case "", "codl":
 		pq.variant = engine.VariantCODL
@@ -89,9 +91,9 @@ func (s *Searcher) Prepare(expr string) (*PreparedQuery, error) {
 		if pq.variant == engine.VariantCODU {
 			return nil, fmt.Errorf("cod: variant codu ignores attributes; drop the predicate or pick codl/codr/codl-")
 		}
-		// Single positive literals lower to the legacy single-attribute query
-		// here (not just in the engine) so validation, error shapes and cache
-		// keys match the legacy entrypoints exactly.
+		// Single positive literals lower to the single-attribute query here
+		// (not just in the engine) so validation, error shapes and cache keys
+		// match Discover's exactly.
 		if a, ok := d.Single(); ok {
 			pq.attr = a
 		} else {
@@ -181,7 +183,7 @@ func (pq *PreparedQuery) PredicateHash() string {
 // PredKey returns the query's predicate aggregation key — the stable
 // identity query-event digests group by: the 16-hex canonical hash for
 // compound predicates, "attr:<id>" for lowered single-attribute queries
-// (matching what the legacy entrypoints would report), and "none" for
+// (the key front ends log a Discover query under), and "none" for
 // attribute-free (codu) queries.
 func (pq *PreparedQuery) PredKey() string {
 	switch {
@@ -194,41 +196,28 @@ func (pq *PreparedQuery) PredKey() string {
 	}
 }
 
-// spec assembles the engine spec for a query against node q.
-func (pq *PreparedQuery) spec(q NodeID) engine.Spec {
-	return engine.Spec{Variant: pq.variant, Q: q, Attr: pq.attr, Pred: pq.pred,
-		Filters: pq.filters, K: pq.k, Adaptive: pq.adaptive}
-}
-
-// DiscoverCtx answers the prepared query for node q (overridden by the
-// expression's node= knob when present), with the same cancellation and
-// determinism contract as Searcher.DiscoverCtx. A prepared single-attribute
-// query with no filters or knobs is byte-identical — trace IDs included —
-// to the legacy entrypoint of its variant.
-func (pq *PreparedQuery) DiscoverCtx(ctx context.Context, q NodeID) (Community, error) {
+// lower is the one lowering of a prepared query that Discover, the batch
+// and replay share: the engine spec for node q — overridden by the
+// expression's node= knob — with its validation error.
+func (pq *PreparedQuery) lower(q NodeID) (engine.Spec, error) {
 	if pq.hasNode {
 		q = pq.node
 	}
-	return pq.s.discoverSpec(ctx, pq.spec(q), pq.attr)
+	return engine.Spec{Variant: pq.variant, Q: q, Attr: pq.attr, Pred: pq.pred,
+		Filters: pq.filters, K: pq.k, Adaptive: pq.adaptive}, pq.c.g.validate(q, pq.attr)
+}
+
+// DiscoverCtx answers the prepared query for node q (overridden by the
+// expression's node= knob when present), with the same validation,
+// cancellation and determinism contract as DiscoverCtx on the searcher. A
+// prepared single-attribute CODL query with no filters or knobs is
+// byte-identical — trace IDs included — to Discover.
+func (pq *PreparedQuery) DiscoverCtx(ctx context.Context, q NodeID) (Community, error) {
+	sp, err := pq.lower(q)
+	return pq.c.discover(ctx, sp, err)
 }
 
 // Discover is DiscoverCtx without cancellation.
 func (pq *PreparedQuery) Discover(q NodeID) (Community, error) {
 	return pq.DiscoverCtx(context.Background(), q)
-}
-
-// DiscoverQuery answers one Query: with an Expr it parses and runs the
-// expression (Node supplies the query node unless a node= knob overrides
-// it, and Attr is ignored — the expression's predicate replaces it); with
-// an empty Expr it is exactly DiscoverCtx(q.Node, q.Attr), byte-identical
-// to the legacy path.
-func (s *Searcher) DiscoverQuery(ctx context.Context, q Query) (Community, error) {
-	if q.Expr == "" {
-		return s.DiscoverCtx(ctx, q.Node, q.Attr)
-	}
-	pq, err := s.Prepare(q.Expr)
-	if err != nil {
-		return Community{}, err
-	}
-	return pq.DiscoverCtx(ctx, q.Node)
 }

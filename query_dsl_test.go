@@ -7,17 +7,21 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/obs"
 )
 
-// This file locks the PR-9 query-DSL facade: expression parsing through
+// This file locks the query-expression facade: expression parsing through
 // Prepare, byte-identical lowering of single-attribute expressions onto the
-// legacy entrypoints (trace IDs included), compound predicates, community
-// filters, knobs, attribute names, and the typed range errors.
+// typed query of their variant and onto Discover (trace IDs included),
+// compound predicates, community filters, knobs, attribute names, and the
+// typed range errors.
 
 // TestDiscoverQueryByteIdenticalToLegacy is the §17 determinism lock: a
-// single-attribute DSL query must replay the legacy entrypoint byte for
-// byte — community and trace ID — for every variant.
+// single-attribute expression must answer byte for byte — community and
+// trace ID — as the typed query of its variant (the spec the variant-named
+// entry points ran before expressions replaced them) on the live seed
+// sequence.
 func TestDiscoverQueryByteIdenticalToLegacy(t *testing.T) {
 	g := buildTestGraph(t)
 	queries := determinismQueries(g)
@@ -26,22 +30,16 @@ func TestDiscoverQueryByteIdenticalToLegacy(t *testing.T) {
 	}
 	opts := Options{K: 3, Theta: 4, Seed: 97}
 	cases := []struct {
-		name   string
-		expr   func(q Query) string
-		legacy func(s *Searcher, ctx context.Context, q Query) (Community, error)
+		name string
+		expr func(q Query) string
+		spec func(q Query) engine.Spec
 	}{
 		{"codl", func(q Query) string { return fmt.Sprintf("%d", q.Attr) },
-			func(s *Searcher, ctx context.Context, q Query) (Community, error) {
-				return s.DiscoverCtx(ctx, q.Node, q.Attr)
-			}},
+			func(q Query) engine.Spec { return engine.Spec{Variant: engine.VariantCODL, Q: q.Node, Attr: q.Attr} }},
 		{"codu", func(q Query) string { return "variant=codu" },
-			func(s *Searcher, ctx context.Context, q Query) (Community, error) {
-				return s.DiscoverUnattributedCtx(ctx, q.Node)
-			}},
+			func(q Query) engine.Spec { return engine.Spec{Variant: engine.VariantCODU, Q: q.Node} }},
 		{"codr", func(q Query) string { return fmt.Sprintf("%d and variant=codr", q.Attr) },
-			func(s *Searcher, ctx context.Context, q Query) (Community, error) {
-				return s.DiscoverGlobalCtx(ctx, q.Node, q.Attr)
-			}},
+			func(q Query) engine.Spec { return engine.Spec{Variant: engine.VariantCODR, Q: q.Node, Attr: q.Attr} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,24 +55,26 @@ func TestDiscoverQueryByteIdenticalToLegacy(t *testing.T) {
 				tr1, tr2 := obs.NewTrace(), obs.NewTrace()
 				ctx1 := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr1))
 				ctx2 := obs.WithRecorder(context.Background(), obs.NewRecorder(nil, tr2))
-				want, err1 := tc.legacy(s1, ctx1, q)
-				got, err2 := s2.DiscoverQuery(ctx2, Query{Node: q.Node, Expr: tc.expr(q)})
+				sp := tc.spec(q)
+				want, err1 := s1.discover(ctx1, sp, s1.g.validate(sp.Q, sp.Attr))
+				got, err2 := discoverExpr(ctx2, s2, tc.expr(q), q.Node)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("query %+v errored: %v / %v", q, err1, err2)
 				}
 				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-					t.Errorf("query %+v: DSL %+v differs from legacy %+v", q, got, want)
+					t.Errorf("query %+v: DSL %+v differs from typed spec %+v", q, got, want)
 				}
 				if tr1.ID() != tr2.ID() {
-					t.Errorf("query %+v: DSL trace ID %s differs from legacy %s", q, tr2.ID(), tr1.ID())
+					t.Errorf("query %+v: DSL trace ID %s differs from typed spec %s", q, tr2.ID(), tr1.ID())
 				}
 			}
 		})
 	}
 }
 
-// TestDiscoverQueryEmptyExprIsLegacy: Query{Expr: ""} routes through the
-// legacy attribute path untouched.
+// TestDiscoverQueryEmptyExprIsLegacy: Discover(q, A) is the shorthand of
+// the expression "A" — on the live sequence, and in a batch, where a Query
+// with an empty Expr answers as one carrying "A".
 func TestDiscoverQueryEmptyExprIsLegacy(t *testing.T) {
 	g := buildTestGraph(t)
 	opts := Options{K: 3, Theta: 4, Seed: 97}
@@ -86,14 +86,23 @@ func TestDiscoverQueryEmptyExprIsLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var plain, exprs []Query
 	for _, q := range determinismQueries(g) {
 		want, err1 := s1.Discover(q.Node, q.Attr)
-		got, err2 := s2.DiscoverQuery(context.Background(), q)
+		got, err2 := discoverExpr(context.Background(), s2, fmt.Sprintf("%d", q.Attr), q.Node)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %+v errored: %v / %v", q, err1, err2)
 		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-			t.Errorf("query %+v: empty-expr %+v differs from legacy %+v", q, got, want)
+			t.Errorf("query %+v: expression %+v differs from Discover %+v", q, got, want)
+		}
+		plain = append(plain, q)
+		exprs = append(exprs, Query{Node: q.Node, Expr: fmt.Sprintf("%d", q.Attr)})
+	}
+	a, b := s1.DiscoverBatch(plain, 2), s1.DiscoverBatch(exprs, 2)
+	for i := range a {
+		if fmt.Sprintf("%+v %v", a[i].Community, a[i].Err) != fmt.Sprintf("%+v %v", b[i].Community, b[i].Err) {
+			t.Errorf("batch item %d: empty Expr %+v differs from expression %+v", i, a[i].Community, b[i].Community)
 		}
 	}
 }
@@ -265,11 +274,11 @@ func TestDiscoverQueryCompound(t *testing.T) {
 	expr := "(ML or DB) and size>=3"
 	found := 0
 	for _, q := range determinismQueries(g) {
-		a, err := s1.DiscoverQuery(context.Background(), Query{Node: q.Node, Expr: expr})
+		a, err := discoverExpr(context.Background(), s1, expr, q.Node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s2.DiscoverQuery(context.Background(), Query{Node: q.Node, Expr: expr})
+		b, err := discoverExpr(context.Background(), s2, expr, q.Node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +309,11 @@ func TestDiscoverQueryCompound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s3.DiscoverQuery(context.Background(), Query{Node: q0, Expr: "ML"})
+	want, err := discoverExpr(context.Background(), s3, "ML", q0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s4.DiscoverQuery(context.Background(),
-		Query{Node: 0, Expr: fmt.Sprintf("ML and node=%d", q0)})
+	got, err := discoverExpr(context.Background(), s4, fmt.Sprintf("ML and node=%d", q0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package cod
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"strings"
-	"sync/atomic"
 
 	"github.com/codsearch/cod/internal/engine"
 	"github.com/codsearch/cod/internal/graph"
@@ -84,7 +82,7 @@ type Options struct {
 	// arrival order), but a different stream than the cache-off mode.
 	SampleCache int
 	// CacheHierarchies keeps CODR per-attribute reclustered hierarchies
-	// resident across DiscoverGlobal calls. Reclustering is deterministic,
+	// resident across variant=codr queries. Reclustering is deterministic,
 	// so caching never changes answers — it trades memory for latency.
 	CacheHierarchies bool
 	// Adaptive enables bounded-error staged evaluation: queries grow their
@@ -159,10 +157,17 @@ func (c Community) Contains(v NodeID) bool {
 // execute over pooled scratch arenas. A Searcher is safe for concurrent use:
 // each query draws its own deterministic stream and per-query scratch.
 type Searcher struct {
-	g    *Graph
-	opts Options
-	eng  *engine.Engine
-	seq  atomic.Uint64
+	queryCore
+}
+
+// engineConfig is the one mapping from Options to the engine's parameters
+// and configuration: every searcher builds its engine from it, and the
+// index header records its parameters.
+func (o Options) engineConfig() (engine.Params, engine.Config) {
+	return engine.Params{K: o.K, Theta: o.Theta, Beta: o.Beta, Linkage: o.Linkage,
+			Seed: o.Seed, Model: o.Model, Balanced: o.Balanced, Workers: o.Workers},
+		engine.Config{SampleCache: o.SampleCache, CacheAttrTrees: o.CacheHierarchies,
+			Adaptive: o.Adaptive}
 }
 
 // NewSearcher builds the hierarchy and HIMOR index for g.
@@ -178,115 +183,12 @@ func NewSearcherCtx(ctx context.Context, g *Graph, opts Options) (*Searcher, err
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("cod: empty graph")
 	}
-	params := engine.Params{K: opts.K, Theta: opts.Theta, Beta: opts.Beta, Linkage: opts.Linkage,
-		Seed: opts.Seed, Model: opts.Model, Balanced: opts.Balanced, Workers: opts.Workers}
-	cfg := engine.Config{SampleCache: opts.SampleCache, CacheAttrTrees: opts.CacheHierarchies,
-		Adaptive: opts.Adaptive}
+	params, cfg := opts.engineConfig()
 	eng, err := engine.Build(ctx, g.internalGraph(), params, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Searcher{g: g, opts: opts, eng: eng}, nil
-}
-
-// Discover finds the characteristic community of q for the query attribute
-// using the fully optimized CODL pipeline (LORE + HIMOR, Algorithm 3).
-func (s *Searcher) Discover(q NodeID, attr AttrID) (Community, error) {
-	return s.DiscoverCtx(context.Background(), q, attr)
-}
-
-// DiscoverCtx is Discover with cancellation: every long-running phase (LORE
-// reclustering, restricted RR sampling, compressed evaluation) polls
-// ctx.Err() at bounded intervals. A canceled query returns an error that
-// wraps both a *CanceledError (partial progress) and the context error; the
-// query consumes its deterministic seed either way, so a retried query on
-// the same Searcher draws a fresh stream. Uncancelled results are
-// byte-identical to Discover.
-func (s *Searcher) DiscoverCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
-	return s.discoverSpec(ctx, engine.Spec{Variant: engine.VariantCODL, Q: q, Attr: attr}, attr)
-}
-
-// discoverSpec runs one typed query through the engine, preserving the
-// historical sequence exactly: validate (counting rejects), draw the
-// per-query seed, stamp the trace ID, execute the compiled plan, count the
-// outcome. Every Discover entrypoint — legacy and DSL — routes through it,
-// so a single-attribute DSL query is byte-identical (trace IDs included) to
-// its legacy counterpart.
-func (s *Searcher) discoverSpec(ctx context.Context, sp engine.Spec, vattr AttrID) (Community, error) {
-	rec := obs.FromContext(ctx)
-	if err := s.g.validate(sp.Q, vattr); err != nil {
-		rec.CountQuery(err)
-		return Community{}, err
-	}
-	return s.discoverSeeded(ctx, sp, s.nextSeed())
-}
-
-// discoverSeeded executes a validated spec with an explicit per-query seed:
-// the shared tail of the live path (which draws the seed from the sequence)
-// and the replay path (which re-supplies a logged one).
-func (s *Searcher) discoverSeeded(ctx context.Context, sp engine.Spec, seed uint64) (Community, error) {
-	rec := obs.FromContext(ctx)
-	rec.EnsureTraceID(seed)
-	com, err := s.eng.Execute(ctx, s.eng.CompileSpec(sp), graph.NewRand(seed))
-	rec.CountQuery(err)
-	if err != nil {
-		return Community{}, err
-	}
-	return communityOf(com), nil
-}
-
-// communityOf is the public form of an engine answer, shared by every
-// searcher that executes engine plans.
-func communityOf(com engine.Community) Community {
-	return Community{Nodes: com.Nodes, Found: com.Found, FromIndex: com.FromIndex, Rank: com.Rank}
-}
-
-// ReplaySeededCtx re-runs a previously logged query: expr is the query's
-// normalized expression (it must carry a node= knob — event logs record
-// one), seed the logged per-query seed. The query executes outside the
-// Searcher's seed sequence, so replays never perturb live traffic's
-// deterministic streams, and a replay on an identically built Searcher is
-// byte-identical to the original execution — community, rank, and
-// seed-derived trace ID alike.
-func (s *Searcher) ReplaySeededCtx(ctx context.Context, expr string, seed uint64) (Community, error) {
-	pq, err := s.Prepare(expr)
-	if err != nil {
-		return Community{}, err
-	}
-	if !pq.hasNode {
-		return Community{}, fmt.Errorf("cod: replay expression %q needs a node= knob", expr)
-	}
-	sp := pq.spec(pq.node)
-	if err := s.g.validate(sp.Q, pq.attr); err != nil {
-		return Community{}, err
-	}
-	return s.discoverSeeded(ctx, sp, seed)
-}
-
-// DiscoverUnattributed finds the characteristic community of q ignoring
-// attributes (the paper's CODU variant).
-func (s *Searcher) DiscoverUnattributed(q NodeID) (Community, error) {
-	return s.DiscoverUnattributedCtx(context.Background(), q)
-}
-
-// DiscoverUnattributedCtx is DiscoverUnattributed with cancellation (see
-// DiscoverCtx).
-func (s *Searcher) DiscoverUnattributedCtx(ctx context.Context, q NodeID) (Community, error) {
-	return s.discoverSpec(ctx, engine.Spec{Variant: engine.VariantCODU, Q: q}, 0)
-}
-
-// DiscoverGlobal finds the characteristic community of q by globally
-// reclustering the attribute-weighted graph (the paper's CODR variant).
-// It is substantially slower than Discover on large graphs.
-func (s *Searcher) DiscoverGlobal(q NodeID, attr AttrID) (Community, error) {
-	return s.DiscoverGlobalCtx(context.Background(), q, attr)
-}
-
-// DiscoverGlobalCtx is DiscoverGlobal with cancellation: the global
-// recluster's merge loop, the sampling loop and the evaluation all poll
-// ctx.Err() at bounded intervals (see DiscoverCtx).
-func (s *Searcher) DiscoverGlobalCtx(ctx context.Context, q NodeID, attr AttrID) (Community, error) {
-	return s.discoverSpec(ctx, engine.Spec{Variant: engine.VariantCODR, Q: q, Attr: attr}, attr)
+	return &Searcher{newQueryCore(g, eng)}, nil
 }
 
 // EstimateInfluence estimates σ_g(v), the expected IC spread of v over the
@@ -302,12 +204,9 @@ func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64,
 	if err := s.g.validate(v, 0); err != nil {
 		return 0, err
 	}
-	theta := s.opts.Theta
-	if theta <= 0 {
-		theta = 10
-	}
-	sampler := engine.NewGraphSampler(s.g.internalGraph(), s.opts.Model, s.nextRand())
-	total := theta * s.g.N()
+	p := s.eng.Params()
+	sampler := engine.NewGraphSampler(s.g.internalGraph(), p.Model, graph.NewRand(s.nextSeed()))
+	total := p.Theta * s.g.N()
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
 	count := 0
 	for i := 0; i < total; i++ {
@@ -345,12 +244,9 @@ func (s *Searcher) MaximizeInfluenceCtx(ctx context.Context, k int) ([]NodeID, f
 	if k < 1 || k > s.g.N() {
 		return nil, 0, fmt.Errorf("cod: k = %d out of range [1,%d]", k, s.g.N())
 	}
-	theta := s.opts.Theta
-	if theta <= 0 {
-		theta = 10
-	}
-	sampler := engine.NewGraphSampler(s.g.internalGraph(), s.opts.Model, s.nextRand())
-	pool, err := influence.BatchPoolCtx(ctx, sampler, theta*s.g.N(), influence.NewArena())
+	p := s.eng.Params()
+	sampler := engine.NewGraphSampler(s.g.internalGraph(), p.Model, graph.NewRand(s.nextSeed()))
+	pool, err := influence.BatchPoolCtx(ctx, sampler, p.Theta*s.g.N(), influence.NewArena())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -389,27 +285,6 @@ func (s *Searcher) HierarchyDepth(q NodeID) (int, error) {
 // IndexBytes reports the approximate HIMOR index memory footprint.
 func (s *Searcher) IndexBytes() int64 { return s.eng.Index().ApproxBytes() }
 
-// Validate reports whether (q, attr) is a well-formed query against this
-// Searcher's graph, using the same error shape as every query API: callers
-// (e.g. HTTP front ends) can reject malformed input before spending any
-// query work.
-func (s *Searcher) Validate(q NodeID, attr AttrID) error { return s.g.validate(q, attr) }
-
-// validate is the argument check of every query API of Searcher and
-// DynamicSearcher, run before any query work or seed draw: q must be a node
-// of g and attr one of its attributes (any non-negative attr on a graph
-// without attributes).
-func (g *Graph) validate(q NodeID, attr AttrID) error {
-	if q < 0 || int(q) >= g.N() {
-		return &RangeError{What: "query node", Value: int64(q), N: g.N()}
-	}
-	if attr < 0 || (g.NumAttrs() > 0 && int(attr) >= g.NumAttrs()) {
-		return &RangeError{What: "attribute", Value: int64(attr), N: g.NumAttrs(),
-			Known: g.AttrNames()}
-	}
-	return nil
-}
-
 // Engine exposes the underlying query engine (epoch, caches, plan API).
 func (s *Searcher) Engine() *engine.Engine { return s.eng }
 
@@ -417,18 +292,3 @@ func (s *Searcher) Engine() *engine.Engine { return s.eng }
 // distribution serializes it alongside the index so a fetched snapshot is
 // self-contained.
 func (s *Searcher) Graph() *Graph { return s.g }
-
-// nextSeed derives a fresh deterministic per-query seed. The sequence
-// counter is atomic, so concurrent queries each get a distinct stream; the
-// mapping from arrival order to stream is first-come-first-seeded. The seed
-// doubles as the query's trace-ID source: it is drawn after validation and
-// never conditionally on instrumentation, so instrumented runs consume the
-// sequence identically to plain ones.
-func (s *Searcher) nextSeed() uint64 {
-	return graph.ItemSeed(s.opts.Seed, int(s.seq.Add(1)-1))
-}
-
-// nextRand derives a fresh deterministic stream per query (see nextSeed).
-func (s *Searcher) nextRand() *rand.Rand {
-	return graph.NewRand(s.nextSeed())
-}
