@@ -239,6 +239,39 @@ func BenchmarkHACCluster(b *testing.B) {
 	}
 }
 
+// BenchmarkLoreRecluster times LORE's giant-miss path on cora with C_ℓ =
+// the root: induce C_ℓ, boost its edges between nodes carrying the query
+// attribute (β = 1), recluster them and build the merged chain, with the
+// clustering workspace and chain buffers reused as the engine's query
+// scratch reuses them.
+func BenchmarkLoreRecluster(b *testing.B) {
+	g := loadBenchGraph(b, "cora")
+	t, err := hac.Cluster(g, hac.UnweightedAverage)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const q, attr = 5, 0
+	var (
+		ws   hac.Workspace
+		lore core.LoreScratch
+	)
+	root := t.Root()
+	// C_ℓ is the whole graph, so local ids are the graph's ids.
+	in := core.AttrMask(make([]bool, g.N()), g, attr)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sub := graph.Induce(g, t.Members(root))
+		tr, err := ws.ClusterCtx(context.Background(), core.PredWeighted(sub.G, in, 1), hac.UnweightedAverage)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := &core.Reclustering{CL: root, Sub: sub, Local: tr}
+		if ch := lore.MergedChain(g, t, rec, q); ch.Len() == 0 {
+			b.Fatal("empty chain")
+		}
+	}
+}
+
 func BenchmarkLCA(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	t, err := hac.Cluster(g, hac.UnweightedAverage)

@@ -3,7 +3,9 @@ package cod
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -155,6 +157,37 @@ func TestSearcherValidation(t *testing.T) {
 	}
 	if _, err := NewSearcher(nil, Options{}); err == nil {
 		t.Error("nil graph accepted")
+	}
+}
+
+// TestNonFiniteBetaRejected checks that every searcher constructor and
+// LoadSearcher refuse a NaN or infinite Options.Beta. With such a β the
+// boosted edges' weights come out NaN or +Inf, so no answer built on them
+// means anything.
+func TestNonFiniteBetaRejected(t *testing.T) {
+	g := buildTestGraph(t)
+	hin := buildHIN(t)
+	_, _, saved, raw := savedIndex(t)
+	for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := Options{Theta: 2, Beta: beta}
+		if _, err := NewSearcher(g, opts); err == nil {
+			t.Errorf("NewSearcher accepted β=%g", beta)
+		}
+		if _, err := NewSearcherCtx(context.Background(), g, opts); err == nil {
+			t.Errorf("NewSearcherCtx accepted β=%g", beta)
+		}
+		if _, err := NewDynamicSearcher(g, opts); err == nil {
+			t.Errorf("NewDynamicSearcher accepted β=%g", beta)
+		}
+		if _, err := NewHeteroSearcher(hin, MetaPath{Edges: []int32{0, 0}, Start: 0}, opts); err == nil {
+			t.Errorf("NewHeteroSearcher accepted β=%g", beta)
+		}
+		load := saved
+		load.Beta = beta
+		_, err := LoadSearcher(g, bytes.NewReader(raw), load)
+		if err == nil || errors.Is(err, ErrIndexParams) {
+			t.Errorf("LoadSearcher with β=%g: %v, want a non-finite Beta error", beta, err)
+		}
 	}
 }
 

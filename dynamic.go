@@ -34,7 +34,10 @@ type DynamicSearcher struct {
 // NewDynamicSearcher builds the initial state for g. Options.Balanced is
 // rejected: Flush reclusters without rebalancing.
 func NewDynamicSearcher(g *Graph, opts Options) (*DynamicSearcher, error) {
-	params, cfg := opts.engineConfig()
+	params, cfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	u, err := dynamic.New(g.internalGraph(), params, cfg)
 	if err != nil {
 		return nil, err

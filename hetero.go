@@ -79,7 +79,10 @@ func NewHeteroSearcher(g *HeteroGraph, path MetaPath, opts Options) (*HeteroSear
 	if err != nil {
 		return nil, err
 	}
-	params, cfg := opts.engineConfig()
+	params, cfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	eng, err := engine.Build(context.Background(), proj.G, params, cfg)
 	if err != nil {
 		return nil, err

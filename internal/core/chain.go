@@ -29,6 +29,11 @@ type Chain struct {
 // ChainFromTree extracts H(q) from a community hierarchy: the proper
 // ancestors of leaf q, deepest first. Leaf singletons are not communities.
 func ChainFromTree(t *hier.Tree, q graph.NodeID) *Chain {
+	return new(LoreScratch).ChainFromTree(t, q)
+}
+
+// ChainFromTree is the package-level ChainFromTree using s's buffers.
+func (s *LoreScratch) ChainFromTree(t *hier.Tree, q graph.NodeID) *Chain {
 	anc := t.Ancestors(t.LeafOf(q))
 	if len(anc) == 0 {
 		// Single-node graph: the only community is the root leaf itself.
@@ -41,21 +46,47 @@ func ChainFromTree(t *hier.Tree, q graph.NodeID) *Chain {
 		depks:    make([]int, len(anc)),
 		vertices: anc,
 	}
-	top := t.Depth(anc[0]) // depth of C_0 = parent of leaf q
 	for h, v := range anc {
 		ch.sizes[h] = t.Size(v)
 		ch.depks[h] = t.Depth(v)
 	}
-	leafQ := t.LeafOf(q)
-	for u := 0; u < t.N(); u++ {
-		if graph.NodeID(u) == q {
-			ch.level[u] = 0
-			continue
-		}
-		l := t.LCA(leafQ, t.LeafOf(graph.NodeID(u)))
-		ch.level[u] = int32(top - t.Depth(l))
-	}
+	s.hangLevels(t, t.LeafOf(q), anc, 0, ch.level, nil)
+	ch.level[q] = 0
 	return ch
+}
+
+// hangLevels writes chain levels for the leaves hanging off a path: path
+// is from's proper ancestors, deepest first, and every leaf under path[h]
+// but not under path[h-1] (not under from, for h = 0) gets level base+h,
+// the index of the smallest path community containing it, which is what
+// one LCA per leaf with from would give. Leaves under from are left alone.
+// Leaf x's level goes to level[nodes[x]], or level[x] when nodes is nil.
+// The pass visits each hanging vertex once, parents before children.
+func (s *LoreScratch) hangLevels(t *hier.Tree, from hier.Vertex, path []hier.Vertex, base int32, level []int32, nodes []graph.NodeID) {
+	n := hier.Vertex(t.N())
+	stack := s.stack[:0]
+	prev := from
+	for h, a := range path {
+		lv := base + int32(h)
+		for stack = append(stack, a); len(stack) > 0; {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range t.Children(x) {
+				switch {
+				case c == prev:
+					// The path child, below a: its leaves get lower levels.
+				case c >= n:
+					stack = append(stack, c)
+				case nodes != nil:
+					level[nodes[c]] = lv
+				default:
+					level[c] = lv
+				}
+			}
+		}
+		prev = a
+	}
+	s.stack = stack
 }
 
 // Q returns the chain's query node.

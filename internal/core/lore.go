@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
@@ -31,17 +32,44 @@ func AttrMask(in []bool, g *graph.Graph, attr graph.AttrID) []bool {
 	return in
 }
 
+// LoreScratch holds the buffers that LORE and the chain builders reuse
+// from one query to the next: the local clustering's workspace, the local
+// predicate mask and the chain-level pass's stack. Nothing they return
+// aliases it. The zero value is ready to use; a LoreScratch serves one
+// query at a time.
+type LoreScratch struct {
+	hac   hac.Workspace
+	in    []bool
+	stack []hier.Vertex
+}
+
 // PredWeighted returns g_P: a copy of g whose edges between two nodes both
 // satisfying the predicate mask get weight boosted by beta (w' = w·(1+beta)).
 // The transformation scheme is orthogonal to the paper's contribution; this
-// is the simplest synergized-weight instance.
+// is the simplest synergized-weight instance. It panics when beta makes a
+// weight non-positive or non-finite (a NaN or infinite beta, or a product
+// that overflows); the query paths (LorePredCtx, PredTreeCtx) return that
+// as an error instead.
 func PredWeighted(g *graph.Graph, in []bool, beta float64) *graph.Graph {
-	return graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
+	gw, err := predWeighted(g, in, beta)
+	if err != nil {
+		panic(err)
+	}
+	return gw
+}
+
+// predWeighted is PredWeighted reporting an unusable weight as an error.
+func predWeighted(g *graph.Graph, in []bool, beta float64) (*graph.Graph, error) {
+	gw, err := graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
 		if in[u] && in[v] {
 			return w * (1 + beta)
 		}
 		return w
 	})
+	if err != nil {
+		return nil, fmt.Errorf("core: weighting by predicate with β=%g: %w", beta, err)
+	}
+	return gw, nil
 }
 
 // AttributeWeighted returns g_ℓ: PredWeighted over the mask of attr.
@@ -49,32 +77,52 @@ func AttributeWeighted(g *graph.Graph, attr graph.AttrID, beta float64) *graph.G
 	return PredWeighted(g, AttrMask(make([]bool, g.N()), g, attr), beta)
 }
 
+// PredTreeCtx is CODR's global recluster: the hierarchy of g_P, clustered
+// in s's workspace. A weight beta makes unusable is an error.
+func (s *LoreScratch) PredTreeCtx(ctx context.Context, g *graph.Graph, in []bool, beta float64, linkage hac.Linkage) (*hier.Tree, error) {
+	gw, err := predWeighted(g, in, beta)
+	if err != nil {
+		return nil, err
+	}
+	return s.hac.ClusterCtx(ctx, gw, linkage)
+}
+
 // ReclusterScoresPred computes r(C_h) for every community in H(q) (Definition
-// 4 via Eq. 3) in O(|E_g|) time: one LCA per edge whose endpoints both
-// satisfy the predicate mask, plus a prefix sweep over the chain. Returned
-// scores align with ChainFromTree(t,q); best is the argmax over h >= 1
-// (Algorithm 2 starts at i = 1), with ties resolved toward the deepest
-// community. When no predicate-satisfying edge touches the chain, best
-// defaults to min(1, L-1).
+// 4 via Eq. 3) in O(|E_g|) time: one pass over the edges whose endpoints
+// both satisfy the predicate mask, plus a prefix sweep over the chain.
+// Returned scores align with ChainFromTree(t,q); best is the argmax over
+// h >= 1 (Algorithm 2 starts at i = 1), with ties resolved toward the
+// deepest community. When no predicate-satisfying edge touches the chain,
+// best defaults to min(1, L-1).
 func ReclusterScoresPred(g *graph.Graph, t *hier.Tree, q graph.NodeID, in []bool) (scores []float64, best int) {
-	ch := ChainFromTree(t, q)
+	return reclusterScores(g, t, ChainFromTree(t, q), in)
+}
+
+// reclusterScores is ReclusterScoresPred over q's chain ch in t. An edge
+// counts at the chain level of its endpoints' LCA when that LCA contains q
+// (Alg. 2 line 10). Endpoints at different levels h < h' meet exactly at
+// C_h', which contains q; only endpoints at one level h need an LCA, to
+// tell whether they meet at C_h or below it, off the chain.
+func reclusterScores(g *graph.Graph, t *hier.Tree, ch *Chain, in []bool) (scores []float64, best int) {
 	L := ch.Len()
 	delta := make([]int64, L)
-	leafQ := t.LeafOf(q)
-	topDepth := ch.Depth(0)
-	g.ForEachEdge(func(u, v graph.NodeID, _ float64) {
-		if !in[u] || !in[v] {
-			return
+	for u := graph.NodeID(0); int(u) < g.N(); u++ {
+		if !in[u] {
+			continue
 		}
-		c := t.LCANodes(u, v)
-		if !t.IsAncestor(c, leafQ) {
-			return // lca does not contain q (Alg. 2 line 10)
+		lu := ch.level[u]
+		for _, v := range g.Neighbors(u) {
+			if v <= u || !in[v] {
+				continue
+			}
+			switch lv := ch.level[v]; {
+			case lu != lv:
+				delta[max(lu, lv)]++
+			case t.LCANodes(u, v) == ch.vertices[lu]:
+				delta[lu]++
+			}
 		}
-		idx := topDepth - t.Depth(c)
-		if idx >= 0 && idx < L {
-			delta[idx]++
-		}
-	})
+	}
 	scores = make([]float64, L)
 	var num int64
 	for h := 0; h < L; h++ {
@@ -127,26 +175,35 @@ type Reclustering struct {
 // read, never retained. ctx is checked at every phase boundary (before
 // scoring, before inducing, inside the recluster's merge loop via
 // hac.ClusterCtx), so a canceled query never starts the expensive local
-// clustering.
+// clustering. A weight beta makes non-positive or non-finite is an error.
 func LorePredCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, in []bool, beta float64, linkage hac.Linkage) (*Reclustering, error) {
+	return new(LoreScratch).LorePredCtx(ctx, g, t, q, in, beta, linkage)
+}
+
+// LorePredCtx is the package-level LorePredCtx using s's buffers; q's
+// chain in t is built once, for the scores and for C_ℓ.
+func (s *LoreScratch) LorePredCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, in []bool, beta float64, linkage hac.Linkage) (*Reclustering, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: lore canceled before scoring: %w", err)
 	}
 	score := obs.FromContext(ctx).StartSpan(obs.StageLoreScore)
-	scores, best := ReclusterScoresPred(g, t, q, in)
+	ch := s.ChainFromTree(t, q)
+	scores, best := reclusterScores(g, t, ch, in)
 	score.EndItems(len(scores))
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: lore canceled before reclustering: %w", err)
 	}
-	ch := ChainFromTree(t, q)
 	cl := ch.Vertex(best)
 	sub := graph.Induce(g, t.Members(cl))
-	localIn := make([]bool, len(sub.ToParent))
-	for lu, pu := range sub.ToParent {
-		localIn[lu] = in[pu]
+	s.in = slices.Grow(s.in[:0], len(sub.ToParent))
+	for _, pu := range sub.ToParent {
+		s.in = append(s.in, in[pu])
 	}
-	weighted := PredWeighted(sub.G, localIn, beta)
-	local, err := hac.ClusterCtx(ctx, weighted, linkage)
+	weighted, err := predWeighted(sub.G, s.in, beta)
+	if err != nil {
+		return nil, err
+	}
+	local, err := s.hac.ClusterCtx(ctx, weighted, linkage)
 	if err != nil {
 		return nil, fmt.Errorf("core: reclustering C_ℓ: %w", err)
 	}
@@ -163,16 +220,12 @@ func LoreCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, q graph.NodeID, 
 // ancestors of C_ℓ in the non-attributed hierarchy. Levels are defined over
 // the full graph's node ids.
 func MergedChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID) *Chain {
-	localQ := rec.Sub.Local(q)
-	if localQ < 0 {
-		panic(fmt.Sprintf("core: query node %d not inside C_ℓ", q))
-	}
-	inner := rec.Local.Ancestors(rec.Local.LeafOf(localQ))
-	if len(inner) == 0 {
-		// C_ℓ is a single node (degenerate); treat its leaf as the only
-		// inner community.
-		inner = []hier.Vertex{rec.Local.Root()}
-	}
+	return new(LoreScratch).MergedChain(g, t, rec, q)
+}
+
+// MergedChain is the package-level MergedChain using s's buffers.
+func (s *LoreScratch) MergedChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID) *Chain {
+	inner := innerVertices(rec, q)
 	outer := t.Ancestors(rec.CL)
 	L := len(inner) + len(outer)
 	chain := &Chain{
@@ -181,44 +234,15 @@ func MergedChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID
 		sizes: make([]int, L),
 		depks: make([]int, L),
 	}
-	// Depths: the reclustered communities sit below C_ℓ, so give inner[i] the
-	// depth dep(C_ℓ) + (distance above the splice point); these values are
-	// only diagnostic after reclustering but stay strictly monotone.
-	clDepth := t.Depth(rec.CL)
-	for i, v := range inner {
-		chain.sizes[i] = rec.Local.Size(v)
-		chain.depks[i] = clDepth + (len(inner) - 1 - i)
-	}
+	innerSizes(t, rec, inner, chain.sizes, chain.depks)
 	for j, v := range outer {
 		chain.sizes[len(inner)+j] = t.Size(v)
 		chain.depks[len(inner)+j] = t.Depth(v)
 	}
-
-	localLeafQ := rec.Local.LeafOf(localQ)
-	localTop := 0
-	if p := rec.Local.Parent(localLeafQ); p != -1 {
-		localTop = rec.Local.Depth(p)
-	}
-	leafQ := t.LeafOf(q)
-	outerTop := 0
-	if len(outer) > 0 {
-		outerTop = t.Depth(outer[0])
-	}
-	for u := 0; u < g.N(); u++ {
-		node := graph.NodeID(u)
-		if lu := rec.Sub.Local(node); lu >= 0 {
-			if lu == localQ {
-				chain.level[u] = 0
-				continue
-			}
-			l := rec.Local.LCA(localLeafQ, rec.Local.LeafOf(lu))
-			chain.level[u] = int32(localTop - rec.Local.Depth(l))
-			continue
-		}
-		// u outside C_ℓ: its smallest shared community is an ancestor of C_ℓ.
-		l := t.LCA(leafQ, t.LeafOf(node))
-		chain.level[u] = int32(len(inner) + outerTop - t.Depth(l))
-	}
+	s.innerLevels(rec, q, inner, chain.level)
+	// Nodes outside C_ℓ: their smallest shared community is an ancestor of
+	// C_ℓ.
+	s.hangLevels(t, rec.CL, outer, int32(len(inner)), chain.level, nil)
 	return chain
 }
 
@@ -226,24 +250,62 @@ func MergedChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID
 // q within the local hierarchy, with levels over the full graph's node ids
 // (nodes outside C_ℓ get level = Len(), i.e. outside every community).
 func InnerChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID) *Chain {
-	merged := MergedChain(g, t, rec, q)
-	localQ := rec.Sub.Local(q)
-	innerLen := len(rec.Local.Ancestors(rec.Local.LeafOf(localQ)))
-	if innerLen == 0 {
-		innerLen = 1
-	}
+	return new(LoreScratch).InnerChain(g, t, rec, q)
+}
+
+// InnerChain is the package-level InnerChain using s's buffers; it visits
+// only C_ℓ's local hierarchy.
+func (s *LoreScratch) InnerChain(g *graph.Graph, t *hier.Tree, rec *Reclustering, q graph.NodeID) *Chain {
+	inner := innerVertices(rec, q)
+	L := len(inner)
 	chain := &Chain{
 		q:     q,
 		level: make([]int32, g.N()),
-		sizes: merged.sizes[:innerLen:innerLen],
-		depks: merged.depks[:innerLen:innerLen],
+		sizes: make([]int, L),
+		depks: make([]int, L),
 	}
+	innerSizes(t, rec, inner, chain.sizes, chain.depks)
 	for u := range chain.level {
-		if l := merged.level[u]; int(l) < innerLen {
-			chain.level[u] = l
-		} else {
-			chain.level[u] = int32(innerLen)
-		}
+		chain.level[u] = int32(L)
 	}
+	s.innerLevels(rec, q, inner, chain.level)
 	return chain
+}
+
+// innerVertices returns q's ancestors in the local hierarchy, deepest first
+// and ending at its root, C_ℓ; when C_ℓ is q alone, the root leaf stands
+// in as the only inner community. It panics when q is outside C_ℓ.
+func innerVertices(rec *Reclustering, q graph.NodeID) []hier.Vertex {
+	localQ := rec.Sub.Local(q)
+	if localQ < 0 {
+		panic(fmt.Sprintf("core: query node %d not inside C_ℓ", q))
+	}
+	inner := rec.Local.Ancestors(rec.Local.LeafOf(localQ))
+	if len(inner) == 0 {
+		inner = []hier.Vertex{rec.Local.Root()}
+	}
+	return inner
+}
+
+// innerSizes fills the inner levels' sizes and depths. The reclustered
+// communities sit below C_ℓ, so inner[i] gets the depth dep(C_ℓ) +
+// (distance above the splice point); these values are only diagnostic
+// after reclustering but stay strictly monotone.
+func innerSizes(t *hier.Tree, rec *Reclustering, inner []hier.Vertex, sizes, depks []int) {
+	clDepth := t.Depth(rec.CL)
+	for i, v := range inner {
+		sizes[i] = rec.Local.Size(v)
+		depks[i] = clDepth + (len(inner) - 1 - i)
+	}
+}
+
+// innerLevels writes the inner chain level of every member of C_ℓ into
+// level, by global node id: q gets 0, and every other member the index
+// of its smallest local community shared with q (inner is from
+// innerVertices).
+func (s *LoreScratch) innerLevels(rec *Reclustering, q graph.NodeID, inner []hier.Vertex, level []int32) {
+	if leafQ := rec.Local.LeafOf(rec.Sub.Local(q)); inner[0] != leafQ {
+		s.hangLevels(rec.Local, leafQ, inner, 0, level, rec.Sub.ToParent)
+	}
+	level[q] = 0
 }

@@ -15,12 +15,16 @@ import (
 // reproduce exactly.
 
 func legacyAttributeWeighted(g *graph.Graph, attr graph.AttrID, beta float64) *graph.Graph {
-	return graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
+	gw, err := graph.Reweight(g, func(u, v graph.NodeID, w float64) float64 {
 		if g.HasAttr(u, attr) && g.HasAttr(v, attr) {
 			return w * (1 + beta)
 		}
 		return w
 	})
+	if err != nil {
+		panic(err)
+	}
+	return gw
 }
 
 func legacyReclusterScores(g *graph.Graph, t *hier.Tree, q graph.NodeID, attr graph.AttrID) (scores []float64, best int) {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/graph"
-	"github.com/codsearch/cod/internal/hac"
 	"github.com/codsearch/cod/internal/hier"
 	"github.com/codsearch/cod/internal/influence"
 	"github.com/codsearch/cod/internal/query"
@@ -72,6 +71,7 @@ type Engine struct {
 func New(g *graph.Graph, tree *hier.Tree, index *core.Himor, p Params, cfg Config) *Engine {
 	e := &Engine{g: g, tree: tree, index: index, p: p.withDefaults(), cfg: cfg,
 		attrTrees: map[treeKey]*hier.Tree{}}
+	warmLCA(tree)
 	if cfg.SampleCache > 0 {
 		e.cache = newSampleCache(cfg.SampleCache)
 	}
@@ -126,6 +126,7 @@ func (e *Engine) Rebind(g *graph.Graph, tree *hier.Tree, index *core.Himor) {
 	e.g = g
 	e.tree = tree
 	e.index = index
+	warmLCA(tree)
 	e.epoch.Add(1)
 	e.attrMu.Lock()
 	clear(e.attrTrees)
@@ -134,6 +135,15 @@ func (e *Engine) Rebind(g *graph.Graph, tree *hier.Tree, index *core.Himor) {
 		e.cache.clearOld(e.epoch.Load())
 	}
 	e.scratch = sync.Pool{}
+}
+
+// warmLCA builds the hierarchy's LCA table, which every CODL query's
+// scoring reads, up front: the first query after a build, load or hot swap
+// then does not pay for it.
+func warmLCA(t *hier.Tree) {
+	if t != nil {
+		t.WarmLCA()
+	}
 }
 
 // treeKey identifies a cached reclustered hierarchy: (attr, 0) for a
@@ -168,8 +178,11 @@ func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DN
 			return t, nil
 		}
 	}
-	gl := core.PredWeighted(e.g, e.planMask(sc, attr, pred), e.p.Beta)
-	t, err := hac.ClusterCtx(ctx, gl, e.p.Linkage)
+	lore := new(core.LoreScratch)
+	if sc != nil {
+		lore = &sc.lore
+	}
+	t, err := lore.PredTreeCtx(ctx, e.g, e.planMask(sc, attr, pred), e.p.Beta, e.p.Linkage)
 	if err != nil {
 		return nil, err
 	}
@@ -189,17 +202,20 @@ func (e *Engine) predTree(ctx context.Context, attr graph.AttrID, pred *query.DN
 
 // queryScratch bundles every reusable per-query buffer: one arena for RR
 // sample storage, one compressed-evaluation working set, the CODL member
-// mask, and a sampler (whose per-graph visited marks are the expensive
-// part). Scratches cycle through the engine's sync.Pool; the arena is Reset
-// on acquisition, so a recycled scratch can never leak one query's samples
-// into the next. Pool-discipline: a scratch must not be touched after
-// release — the poolret codvet check enforces this shape.
+// mask, LORE's clustering and chain-level buffers, and a sampler (whose
+// per-graph visited marks are the expensive part). Scratches cycle through
+// the engine's sync.Pool; the arena is Reset on acquisition, so a recycled
+// scratch can never leak one query's samples into the next. Nothing a
+// query returns aliases the LORE buffers. Pool-discipline: a scratch must
+// not be touched after release — the poolret codvet check enforces this
+// shape.
 type queryScratch struct {
 	n       int // g.N() the buffers were sized for
 	sampler arenaSampler
 	arena   *influence.Arena
 	eval    *core.EvalScratch
 	mask    []bool
+	lore    core.LoreScratch
 }
 
 // acquire returns a scratch sized for the current graph with its sampler

@@ -342,7 +342,7 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 			return Community{}, "global", false, nil
 		}
 		in := e.planMask(sc, pl.Attr, pl.Pred)
-		rec, err := core.LorePredCtx(ctx, e.g, e.tree, pl.Q, in, e.p.Beta, e.p.Linkage)
+		rec, err := sc.lore.LorePredCtx(ctx, e.g, e.tree, pl.Q, in, e.p.Beta, e.p.Linkage)
 		if err != nil {
 			return Community{}, errOutcome(err), false, err
 		}
@@ -361,16 +361,16 @@ func (e *Engine) runStep(ctx context.Context, pl *Plan, step Step, sc *queryScra
 	case StepChain:
 		switch step.Chain {
 		case ChainTree:
-			st.ch = core.ChainFromTree(e.tree, pl.Q)
+			st.ch = sc.lore.ChainFromTree(e.tree, pl.Q)
 			return Community{}, "tree", false, nil
 		case ChainAttr:
-			st.ch = core.ChainFromTree(st.attrTree, pl.Q)
+			st.ch = sc.lore.ChainFromTree(st.attrTree, pl.Q)
 			return Community{}, "attr", false, nil
 		case ChainInner:
-			st.ch = core.InnerChain(e.g, e.tree, st.rec, pl.Q)
+			st.ch = sc.lore.InnerChain(e.g, e.tree, st.rec, pl.Q)
 			return Community{}, "inner", false, nil
 		case ChainMerged:
-			st.ch = core.MergedChain(e.g, e.tree, st.rec, pl.Q)
+			st.ch = sc.lore.MergedChain(e.g, e.tree, st.rec, pl.Q)
 			return Community{}, "merged", false, nil
 		}
 		return Community{}, "unknown", false, nil

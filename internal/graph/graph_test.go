@@ -159,12 +159,15 @@ func TestInduce(t *testing.T) {
 
 func TestReweight(t *testing.T) {
 	g := paperGraph(t)
-	gl := Reweight(g, func(u, v NodeID, w float64) float64 {
+	gl, err := Reweight(g, func(u, v NodeID, w float64) float64 {
 		if u == 0 || v == 0 {
 			return 5
 		}
 		return w
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gl.M() != g.M() {
 		t.Fatalf("edge count changed: %d vs %d", gl.M(), g.M())
 	}

@@ -1,6 +1,10 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Subgraph is a node-induced subgraph of a parent Graph, materialized as its
 // own Graph with compact local node ids plus the mapping back to the parent.
@@ -15,7 +19,10 @@ type Subgraph struct {
 
 // Induce materializes the subgraph of g induced by nodes. The node list may
 // be unsorted and may contain duplicates; attributes and weights are carried
-// over. Edges are those of g with both endpoints in nodes.
+// over. Edges are those of g with both endpoints in nodes. Local ids follow
+// parent ids, so each member's row, filtered from its sorted parent row,
+// is already sorted and the CSR is written in one pass. The subgraph is
+// unweighted when every induced edge weighs 1.
 func Induce(g *Graph, nodes []NodeID) *Subgraph {
 	members := slices.Clone(nodes)
 	slices.Sort(members)
@@ -27,27 +34,45 @@ func Induce(g *Graph, nodes []NodeID) *Subgraph {
 	for i, v := range members {
 		toLocal[v] = int32(i)
 	}
-	b := NewBuilder(len(members), g.NumAttrs())
+	n := len(members)
+	sub := &Graph{numAttr: g.numAttr, off: make([]int32, n+1), attrOff: make([]int32, n+1)}
+	deg, nattr := 0, 0
 	for i, v := range members {
-		ns := g.Neighbors(v)
+		for _, u := range g.Neighbors(v) {
+			if toLocal[u] >= 0 {
+				deg++
+			}
+		}
+		nattr += len(g.Attrs(v))
+		sub.off[i+1] = int32(deg)
+		sub.attrOff[i+1] = int32(nattr)
+	}
+	sub.adj = make([]NodeID, 0, deg)
+	sub.attrs = make([]AttrID, 0, nattr)
+	weighted := false
+	if g.wts != nil {
+		sub.wts = make([]float64, 0, deg)
+	}
+	for _, v := range members {
 		ws := g.Weights(v)
-		for j, u := range ns {
+		for j, u := range g.Neighbors(v) {
 			lu := toLocal[u]
-			if lu < 0 || u <= v { // add each undirected edge once
+			if lu < 0 {
 				continue
 			}
-			w := 1.0
+			sub.adj = append(sub.adj, lu)
 			if ws != nil {
-				w = ws[j]
+				sub.wts = append(sub.wts, ws[j])
+				weighted = weighted || ws[j] != 1
 			}
-			// Endpoints validated by construction; Builder cannot fail here.
-			_ = b.AddWeightedEdge(int32(i), lu, w)
 		}
-		if as := g.Attrs(v); len(as) > 0 {
-			_ = b.SetAttrs(int32(i), as...)
-		}
+		sub.attrs = append(sub.attrs, g.Attrs(v)...)
 	}
-	return &Subgraph{G: b.Build(), ToParent: members, toLocal: toLocal}
+	if !weighted {
+		sub.wts = nil
+	}
+	sub.m = deg / 2
+	return &Subgraph{G: sub, ToParent: members, toLocal: toLocal}
 }
 
 // Local maps a parent node id to its local id, or -1 when the node is not in
@@ -66,16 +91,47 @@ func (s *Subgraph) Contains(parent NodeID) bool { return s.Local(parent) >= 0 }
 func (s *Subgraph) ParentNodes() []NodeID { return slices.Clone(s.ToParent) }
 
 // Reweight returns a copy of g in which every edge weight is replaced by
-// fn(u, v, w). It is used to derive the attribute-weighted graph g_ℓ.
-func Reweight(g *Graph, fn func(u, v NodeID, w float64) float64) *Graph {
-	b := NewBuilder(g.N(), g.NumAttrs())
-	g.ForEachEdge(func(u, v NodeID, w float64) {
-		_ = b.AddWeightedEdge(u, v, fn(u, v, w))
-	})
-	for v := NodeID(0); v < NodeID(g.N()); v++ {
-		if as := g.Attrs(v); len(as) > 0 {
-			_ = b.SetAttrs(v, as...)
+// fn(u, v, w), called once per edge with u < v. It is used to derive the
+// attribute-weighted graph g_ℓ. The copy shares g's offsets, adjacency and
+// attributes and owns one new weight array, nil when every new weight is
+// 1. A weight that is not positive and finite (fn returned NaN, an
+// infinity, or an overflowed product) is an error, because clustering would
+// silently mis-handle it.
+func Reweight(g *Graph, fn func(u, v NodeID, w float64) float64) (*Graph, error) {
+	n := g.N()
+	out := *g
+	wts := make([]float64, len(g.adj))
+	// Row v's entries below v come first, in increasing order of the
+	// other endpoint, which is the order rows u < v reach them; cursor[v]
+	// is the next of them to fill.
+	cursor := make([]int32, n)
+	copy(cursor, g.off[:n])
+	weighted := false
+	for u := NodeID(0); u < NodeID(n); u++ {
+		ws := g.Weights(u)
+		lo := g.off[u]
+		for i, v := range g.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			w := 1.0
+			if ws != nil {
+				w = ws[i]
+			}
+			w = fn(u, v, w)
+			if !(w > 0) || math.IsInf(w, 1) {
+				// !(w > 0) also rejects NaN, which w <= 0 would let through.
+				return nil, fmt.Errorf("graph: reweighted edge (%d,%d) has non-positive or non-finite weight %g", u, v, w)
+			}
+			weighted = weighted || w != 1
+			wts[lo+int32(i)] = w
+			wts[cursor[v]] = w
+			cursor[v]++
 		}
 	}
-	return b.Build()
+	out.wts = nil
+	if weighted {
+		out.wts = wts
+	}
+	return &out, nil
 }

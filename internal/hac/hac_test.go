@@ -251,7 +251,8 @@ func TestComponentRootMergeMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newClusterer(g, linkage)
+		var c clusterer
+		c.reset(g, linkage)
 		roots, err := c.run(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -1,13 +1,14 @@
 // Package hier implements the community hierarchy used by COD: a dendrogram
 // whose leaves are graph nodes and whose internal vertices are communities,
-// with O(1) lowest-common-ancestor queries (Euler tour + sparse table), the
-// per-node ancestor chains H(u), depths following the paper's convention
-// (dep(root) = 1, growing downward) and subtree sizes.
+// with O(1) lowest-common-ancestor queries (Euler tour + sparse table, built
+// on first use), the per-node ancestor chains H(u), depths following the
+// paper's convention (dep(root) = 1, growing downward) and subtree sizes.
 package hier
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/codsearch/cod/internal/graph"
 )
@@ -28,7 +29,9 @@ type Tree struct {
 	depth    []int32 // depth[root] = 1 (paper convention dep ∈ Z+)
 	root     Vertex
 
-	// Euler tour structures for O(1) LCA.
+	// Euler tour structures for O(1) LCA, built by the first LCA call (or
+	// WarmLCA); a tree nobody asks for an LCA never pays for them.
+	lcaOnce  sync.Once
 	firstOcc []int32  // first occurrence of each vertex in the tour
 	tour     []Vertex // Euler tour of vertices
 	sparse   [][]int32
@@ -45,7 +48,9 @@ func New(n int, parent []Vertex) (*Tree, error) {
 		return nil, fmt.Errorf("hier: parent array of length %d cannot cover %d leaves", total, n)
 	}
 	t := &Tree{n: n, parent: parent, root: -1}
-	t.children = make([][]Vertex, total)
+	// Children lists share one backing array, filled in increasing child
+	// id (the order per-vertex appends would give).
+	count := make([]int32, total+1)
 	for v := 0; v < total; v++ {
 		p := parent[v]
 		switch {
@@ -59,16 +64,30 @@ func New(n int, parent []Vertex) (*Tree, error) {
 		case int(p) < n:
 			return nil, fmt.Errorf("hier: leaf %d used as parent of %d", p, v)
 		default:
-			t.children[p] = append(t.children[p], Vertex(v))
+			count[p+1]++
 		}
 	}
 	if t.root == -1 {
 		return nil, fmt.Errorf("hier: no root vertex")
 	}
+	for v := 1; v <= total; v++ {
+		count[v] += count[v-1]
+	}
+	flat := make([]Vertex, total-1)
+	t.children = make([][]Vertex, total)
+	for v := 0; v < total; v++ {
+		if lo, hi := count[v], count[v+1]; hi > lo {
+			t.children[v] = flat[lo:lo:hi]
+		}
+	}
+	for v := 0; v < total; v++ {
+		if p := parent[v]; p != -1 {
+			t.children[p] = append(t.children[p], Vertex(v))
+		}
+	}
 	if err := t.computeOrder(); err != nil {
 		return nil, err
 	}
-	t.buildLCA()
 	return t, nil
 }
 
@@ -126,6 +145,10 @@ func (t *Tree) computeOrder() error {
 	}
 	return nil
 }
+
+// WarmLCA builds the LCA table now unless it exists, so that the first
+// LCA call does not pay for it. It is safe for concurrent use.
+func (t *Tree) WarmLCA() { t.lcaOnce.Do(t.buildLCA) }
 
 // buildLCA prepares the Euler tour sparse table.
 func (t *Tree) buildLCA() {
@@ -219,8 +242,11 @@ func (t *Tree) NodeOf(v Vertex) graph.NodeID {
 	return graph.NodeID(v)
 }
 
-// LCA returns the lowest common ancestor of vertices a and b in O(1).
+// LCA returns the lowest common ancestor of vertices a and b in O(1). The
+// first call on a tree builds its Euler-tour table in O(|T| log |T|); calls
+// from many goroutines are safe.
 func (t *Tree) LCA(a, b Vertex) Vertex {
+	t.lcaOnce.Do(t.buildLCA)
 	ia, ib := t.firstOcc[a], t.firstOcc[b]
 	if ia > ib {
 		ia, ib = ib, ia

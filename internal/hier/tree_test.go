@@ -239,3 +239,33 @@ func TestLCAAgainstNaive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLCATableBuiltOnFirstUse checks that New leaves the Euler-tour table
+// unbuilt, that the first LCA call (or WarmLCA) builds it, and that a
+// children list keeps increasing child ids, the order LCA's tour and
+// Rebalance's heavy-path walk read.
+func TestLCATableBuiltOnFirstUse(t *testing.T) {
+	tr := paperTree(t)
+	if tr.tour != nil || tr.sparse != nil {
+		t.Fatal("New built the LCA table")
+	}
+	if got := tr.LCA(0, 6); got != 12 {
+		t.Errorf("LCA(0,6) = %d, want 12", got)
+	}
+	if tr.tour == nil {
+		t.Fatal("LCA did not build its table")
+	}
+	warm := paperTree(t)
+	warm.WarmLCA()
+	if warm.tour == nil || warm.LCA(4, 9) != 16 {
+		t.Error("WarmLCA did not build a working table")
+	}
+	for v := Vertex(0); int(v) < tr.NumVertices(); v++ {
+		ch := tr.Children(v)
+		for i := 1; i < len(ch); i++ {
+			if ch[i-1] >= ch[i] {
+				t.Fatalf("children of %d out of order: %v", v, ch)
+			}
+		}
+	}
+}

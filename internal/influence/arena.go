@@ -27,15 +27,9 @@ type Arena struct {
 	adj   []int32
 	at    []Start // at[i] starts sample i; at[Len()] is where the next one starts
 
-	live   []arenaEdge // live edges of the sample under construction
-	cursor []int32     // CSR fill scratch
-	hdr    []RRGraph
-	ptrs   []*RRGraph
+	hdr  []RRGraph
+	ptrs []*RRGraph
 }
-
-// arenaEdge is one live edge recorded during sampling: positions are local
-// to the open sample.
-type arenaEdge struct{ head, tail int32 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{at: []Start{{}}} }
@@ -47,7 +41,6 @@ func (a *Arena) Reset() {
 	a.off = a.off[:0]
 	a.adj = a.adj[:0]
 	a.at = append(a.at[:0], Start{})
-	a.live = a.live[:0]
 	a.hdr = a.hdr[:0]
 	a.ptrs = a.ptrs[:0]
 }
@@ -77,16 +70,21 @@ func (a *Arena) Append(r *RRGraph) {
 	a.closeSample()
 }
 
-// beginRR opens a sample rooted at src and returns the node-array base
-// offset; the sampler appends nodes via pushNode and edges via pushEdge.
-func (a *Arena) beginRR(src graph.NodeID) int {
+// beginRR opens a sample rooted at src and returns its node base (local
+// positions count from it) and adjacency base. The sampler then writes the
+// sample's CSR as it goes: for each position p = 0, 1, … in order it calls
+// openRow and pushes p's live tails with pushTail, appending nodes with
+// pushNode as it discovers them, and endRR closes the sample. Every
+// sampler visits positions in discovery order and records a visited node's
+// live in-edges while it is visited, so rows are written in head order and
+// the layout is the one RRGraphFrom's bucketing builds.
+func (a *Arena) beginRR(src graph.NodeID) (base, adjBase int) {
 	if len(a.at) == 0 {
 		a.at = append(a.at, Start{})
 	}
-	base := len(a.nodes)
+	base = len(a.nodes)
 	a.nodes = append(a.nodes, src)
-	a.live = a.live[:0]
-	return base
+	return base, len(a.adj)
 }
 
 // pushNode appends a node to the open sample, returning its local position.
@@ -96,37 +94,21 @@ func (a *Arena) pushNode(base int, u graph.NodeID) int32 {
 	return p
 }
 
-// pushEdge records a live edge between local positions of the open sample.
-func (a *Arena) pushEdge(head, tail int32) {
-	a.live = append(a.live, arenaEdge{head, tail})
+// openRow starts the next position's row of the open sample: its local
+// CSR offset is the number of live tails pushed so far.
+func (a *Arena) openRow(adjBase int) {
+	a.off = append(a.off, int32(len(a.adj)-adjBase))
 }
 
-// endRR closes the open sample, bucketing its live edges into CSR form in
-// the shared Off/Adj arrays — the same layout RRGraphFrom builds, so the
-// resulting graphs are byte-identical to the allocating path.
-func (a *Arena) endRR(base int) {
-	n := len(a.nodes) - base
-	offStart := len(a.off)
-	a.off = growInt32(a.off, n+1)
-	off := a.off[offStart:]
-	for _, e := range a.live {
-		off[e.head+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	adjStart := len(a.adj)
-	a.adj = growInt32(a.adj, len(a.live))
-	adj := a.adj[adjStart:]
-	if cap(a.cursor) < n {
-		a.cursor = make([]int32, n)
-	}
-	cur := a.cursor[:n]
-	copy(cur, off[:n])
-	for _, e := range a.live {
-		adj[cur[e.head]] = e.tail
-		cur[e.head]++
-	}
+// pushTail records a live edge from the open row's node to the node at
+// local position tail.
+func (a *Arena) pushTail(tail int32) {
+	a.adj = append(a.adj, tail)
+}
+
+// endRR closes the open sample with its final CSR offset.
+func (a *Arena) endRR(adjBase int) {
+	a.openRow(adjBase)
 	a.closeSample()
 }
 
@@ -144,16 +126,6 @@ func checkPoolSize(nodes, adj int) {
 	if nodes > math.MaxInt32 || adj > math.MaxInt32 {
 		panic("influence: RR pool exceeds 2^31 nodes or edges")
 	}
-}
-
-// growInt32 extends s by n zeroed elements.
-func growInt32(s []int32, n int) []int32 {
-	for cap(s) < len(s)+n {
-		s = append(s[:cap(s)], 0)[:len(s)]
-	}
-	tail := s[len(s) : len(s)+n]
-	clear(tail)
-	return s[: len(s)+n : cap(s)]
 }
 
 // Finalize returns a header for every completed sample, each a zero-copy
@@ -207,48 +179,58 @@ func (s *Sampler) RRGraphInto(a *Arena) {
 // randomness order, arena-backed storage.
 func (s *Sampler) RRGraphFromInto(a *Arena, src graph.NodeID) {
 	s.ver++
-	base := a.beginRR(src)
+	base, adjBase := a.beginRR(src)
 	s.pos[src] = 0
 	s.epoch[src] = s.ver
 	for qi := 0; base+qi < len(a.nodes); qi++ {
+		a.openRow(adjBase)
 		v := a.nodes[base+qi]
+		p := s.headProb(v)
 		for _, u := range s.g.Neighbors(v) {
-			if s.rng.Float64() >= s.model.Prob(u, v) {
+			if s.wc == nil {
+				p = s.model.Prob(u, v)
+			}
+			if s.rng.Float64() >= p {
 				continue
 			}
 			if s.epoch[u] != s.ver {
 				s.epoch[u] = s.ver
 				s.pos[u] = a.pushNode(base, u)
 			}
-			a.pushEdge(int32(qi), s.pos[u])
+			a.pushTail(s.pos[u])
 		}
 	}
-	a.endRR(base)
+	a.endRR(adjBase)
 }
 
 // RRGraphWithinInto is RRGraphWithin writing into a.
 func (s *Sampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
-	base := a.beginRR(src)
+	base, adjBase := a.beginRR(src)
 	s.pos[src] = 0
 	s.epoch[src] = s.ver
 	for qi := 0; base+qi < len(a.nodes); qi++ {
+		a.openRow(adjBase)
 		v := a.nodes[base+qi]
+		p := s.headProb(v)
 		for _, u := range s.g.Neighbors(v) {
 			if !member(u) {
 				continue
 			}
-			if s.rng.Float64() >= s.model.Prob(u, v) {
+			if s.wc == nil {
+				p = s.model.Prob(u, v)
+			}
+			if s.rng.Float64() >= p {
 				continue
 			}
 			if s.epoch[u] != s.ver {
 				s.epoch[u] = s.ver
 				s.pos[u] = a.pushNode(base, u)
 			}
-			a.pushEdge(int32(qi), s.pos[u])
+			a.pushTail(s.pos[u])
 		}
 	}
-	a.endRR(base)
+	a.endRR(adjBase)
 }
 
 // RRGraphInto samples one LT RR graph from a uniform source into a.
@@ -266,23 +248,25 @@ func (s *LTSampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(gr
 // unrestricted. Randomness order matches RRGraphFrom/RRGraphWithin exactly.
 func (s *LTSampler) rrWalkInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
-	base := a.beginRR(src)
+	base, adjBase := a.beginRR(src)
 	s.pos[src] = 0
 	s.epoch[src] = s.ver
 	cur := src
 	for {
+		// cur is the newest node, so its row is the next one.
+		a.openRow(adjBase)
 		u := s.pickInNeighbor(cur)
 		if u < 0 || (member != nil && !member(u)) {
 			break
 		}
 		if s.epoch[u] == s.ver {
-			a.pushEdge(s.pos[cur], s.pos[u])
+			a.pushTail(s.pos[u])
 			break
 		}
 		s.epoch[u] = s.ver
 		s.pos[u] = a.pushNode(base, u)
-		a.pushEdge(s.pos[cur], s.pos[u])
+		a.pushTail(s.pos[u])
 		cur = u
 	}
-	a.endRR(base)
+	a.endRR(adjBase)
 }

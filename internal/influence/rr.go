@@ -55,6 +55,10 @@ type Sampler struct {
 	g     *graph.Graph
 	model Model
 	rng   *rand.Rand
+	// wc is the graph of a weighted-cascade model, whose p(u, v) = 1/deg(v)
+	// depends only on the head, so the arena samplers read it once per
+	// visited node; nil for any other model, asked per edge.
+	wc *graph.Graph
 
 	// scratch, reused across samples
 	pos   []int32 // node -> position in current sample, -1 when absent
@@ -65,9 +69,22 @@ type Sampler struct {
 // NewSampler returns a Sampler over g under model, driven by rng.
 func NewSampler(g *graph.Graph, model Model, rng *rand.Rand) *Sampler {
 	s := &Sampler{g: g, model: model, rng: rng}
+	if wc, ok := model.(WeightedCascade); ok {
+		s.wc = wc.g
+	}
 	s.pos = make([]int32, g.N())
 	s.epoch = make([]int32, g.N())
 	return s
+}
+
+// headProb returns p(u, v) for every in-edge of v under a weighted-cascade
+// model, computed exactly as WeightedCascade.Prob computes it; other models
+// get 0 and are asked per edge.
+func (s *Sampler) headProb(v graph.NodeID) float64 {
+	if s.wc == nil {
+		return 0
+	}
+	return 1 / float64(s.wc.Degree(v))
 }
 
 // SetRand rebinds the sampler to rng. A pooled sampler keeps its per-graph

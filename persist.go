@@ -211,6 +211,10 @@ func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("cod: empty graph")
 	}
+	params, cfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	magic := make([]byte, 8)
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrIndexTruncated, err)
@@ -233,7 +237,6 @@ func LoadSearcher(g *Graph, r io.Reader, opts Options) (*Searcher, error) {
 	if err := binary.Read(bytes.NewReader(hdrBytes), binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("cod: decoding index header: %w", err)
 	}
-	params, cfg := opts.engineConfig()
 	if want := headerFor(params.WithDefaults(), g.N()); hdr != want {
 		return nil, fmt.Errorf("%w: saved {k=%d θ=%d βbits=%x linkage=%d model=%d balanced=%d seed=%d n=%d}, "+
 			"requested {k=%d θ=%d βbits=%x linkage=%d model=%d balanced=%d seed=%d n=%d}",

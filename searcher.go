@@ -3,6 +3,7 @@ package cod
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/codsearch/cod/internal/engine"
@@ -162,12 +163,16 @@ type Searcher struct {
 
 // engineConfig is the one mapping from Options to the engine's parameters
 // and configuration: every searcher builds its engine from it, and the
-// index header records its parameters.
-func (o Options) engineConfig() (engine.Params, engine.Config) {
+// index header records its parameters. A NaN or infinite Beta is an error:
+// it would turn every boosted edge weight into NaN or +Inf.
+func (o Options) engineConfig() (engine.Params, engine.Config, error) {
+	if math.IsNaN(o.Beta) || math.IsInf(o.Beta, 0) {
+		return engine.Params{}, engine.Config{}, fmt.Errorf("cod: Options.Beta %g is not finite", o.Beta)
+	}
 	return engine.Params{K: o.K, Theta: o.Theta, Beta: o.Beta, Linkage: o.Linkage,
 			Seed: o.Seed, Model: o.Model, Balanced: o.Balanced, Workers: o.Workers},
 		engine.Config{SampleCache: o.SampleCache, CacheAttrTrees: o.CacheHierarchies,
-			Adaptive: o.Adaptive}
+			Adaptive: o.Adaptive}, nil
 }
 
 // NewSearcher builds the hierarchy and HIMOR index for g.
@@ -183,7 +188,10 @@ func NewSearcherCtx(ctx context.Context, g *Graph, opts Options) (*Searcher, err
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("cod: empty graph")
 	}
-	params, cfg := opts.engineConfig()
+	params, cfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	eng, err := engine.Build(ctx, g.internalGraph(), params, cfg)
 	if err != nil {
 		return nil, err
