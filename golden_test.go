@@ -142,6 +142,9 @@ func goldenCorpus(t *testing.T) map[string]string {
 					if cache == 0 {
 						out[prefix+"/tree"], out[prefix+"/himor"] = offlineDigests(s)
 					}
+					if ds == "small" && !balanced && cache == 0 {
+						out[fmt.Sprintf("%s/model=%s/influence", ds, model.name)] = influenceDigest(t, s, qs)
+					}
 					prefix += fmt.Sprintf("/cache=%t", cache > 0)
 					for _, variant := range goldenVariants {
 						for _, kind := range goldenKinds {
@@ -186,6 +189,26 @@ func offlineDigests(s *Searcher) (tree, himor string) {
 		}
 	}
 	return td.sum(), hd.sum()
+}
+
+// influenceDigest hashes, per golden query i, the query node's estimated
+// influence and the seeds and spread of an (i+1)-seed maximization, in
+// call order: both draw from the Searcher's own seed sequence.
+func influenceDigest(t *testing.T, s *Searcher, qs []goldenQuery) string {
+	t.Helper()
+	d := newGoldenDigest()
+	for i, q := range qs {
+		est, err := s.EstimateInfluence(q.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds, spread, err := s.MaximizeInfluence(i + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.addf("estimate q=%d %v seeds=%v spread=%v", q.node, est, seeds, spread)
+	}
+	return d.sum()
 }
 
 // batchDigest runs one DiscoverBatch of mixed legacy and expression items
