@@ -218,15 +218,57 @@ func loadBenchGraph(b *testing.B, name string) *graph.Graph {
 	return ds.G
 }
 
+// BenchmarkRRGraphGeneration times the IC sampler every whole-graph pool
+// runs on cora: one RR graph from a uniform source per op, written into an
+// arena that is Reset before each sample, so its capacity stays warm.
 func BenchmarkRRGraphGeneration(b *testing.B) {
 	g := loadBenchGraph(b, "cora")
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(1))
+	a := influence.NewArena()
 	b.ResetTimer()
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		nodes += s.RRGraph().Len()
+		a.Reset()
+		s.RRGraphInto(a)
+		nodes += len(a.Pool().Nodes(0))
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/rr")
+}
+
+// BenchmarkRRGraphRestricted times a CODL miss's restricted sampling step
+// on cora: one RR graph per op confined to a giant C_ℓ, the larger child of
+// the hierarchy's root, through the same member-mask closure and uniform
+// member sources the engine uses, into an arena Reset before each sample.
+func BenchmarkRRGraphRestricted(b *testing.B) {
+	g := loadBenchGraph(b, "cora")
+	t, err := hac.Cluster(g, hac.UnweightedAverage)
+	if err != nil {
+		b.Fatal(err)
+	}
+	giant := t.Root()
+	for _, c := range t.Children(t.Root()) {
+		if giant == t.Root() || t.Size(c) > t.Size(giant) {
+			giant = c
+		}
+	}
+	members := t.Members(giant)
+	in := make([]bool, g.N())
+	for _, v := range members {
+		in[v] = true
+	}
+	member := func(u graph.NodeID) bool { return in[u] }
+	rng := graph.NewRand(1)
+	s := influence.NewSampler(g, influence.NewWeightedCascade(g), rng)
+	a := influence.NewArena()
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		a.Reset()
+		s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
+		nodes += len(a.Pool().Nodes(0))
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/rr")
+	b.ReportMetric(float64(len(members)), "members")
 }
 
 func BenchmarkHACCluster(b *testing.B) {
@@ -325,7 +367,10 @@ func BenchmarkHimorBuild(b *testing.B) {
 	model := influence.NewWeightedCascade(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildHimor(g, t, model, 5, graph.NewRand(uint64(i)))
+		s := influence.NewSampler(g, model, graph.NewRand(uint64(i)))
+		if _, err := core.BuildHimorWithSamplerCtx(context.Background(), g, t, s, 5); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -469,7 +514,11 @@ func BenchmarkAblationBalance(b *testing.B) {
 					b.Fatal(err)
 				}
 				start := time.Now()
-				idx := core.BuildHimor(g, t, model, 2, graph.NewRand(7))
+				idx, err := core.BuildHimorWithSamplerCtx(context.Background(), g, t,
+					influence.NewSampler(g, model, graph.NewRand(7)), 2)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(float64(time.Since(start).Milliseconds()), "himor-ms")
 				b.ReportMetric(float64(t.SumLeafDepths())/float64(g.N()), "avg-depth")
 				b.ReportMetric(float64(idx.ApproxBytes())/(1<<20), "index-MB")

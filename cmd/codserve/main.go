@@ -84,6 +84,11 @@ func main() {
 	// δ > 0 opts into bounded-error staged sampling; ε alone changes nothing,
 	// so the default answers stay byte-identical to earlier releases.
 	adaptive := cod.AdaptiveOptions{Enabled: *adaptiveDelta > 0, Eps: *adaptiveEps, Delta: *adaptiveDelta}
+	// Every searcher refuses a bad value, so with -index-store the swapper
+	// would poll a store it can never load; refuse it here instead.
+	if err := adaptive.Validate(); err != nil {
+		log.Fatalf("codserve: -adaptive-eps/-adaptive-delta: %v", err)
+	}
 	if adaptive.Enabled {
 		log.Printf("adaptive sampling on: eps=%g delta=%g", *adaptiveEps, *adaptiveDelta)
 	}

@@ -355,9 +355,10 @@ func TestAdaptiveExhaustedByteIdentical(t *testing.T) {
 
 // TestAdaptiveEarlyStopInFlightRecorder checks the /debug/queries surface:
 // a query that certifies early must show up in the flight recorder with the
-// early_stop outcome and its realized stage count on the sample step. A huge
-// ε makes the indifference rule fire at the first certification check, so
-// the early stop is guaranteed even on the tiny test graph.
+// early_stop outcome and its realized stage count on the sample step. An ε
+// just below 1, the widest Options accept, makes the indifference rule fire
+// at the first certification check, so the early stop is guaranteed even on
+// the tiny test graph.
 func TestAdaptiveEarlyStopInFlightRecorder(t *testing.T) {
 	g := buildTestGraph(t)
 	queries := determinismQueries(g)
@@ -365,7 +366,7 @@ func TestAdaptiveEarlyStopInFlightRecorder(t *testing.T) {
 		t.Fatal("no attributed query nodes in test graph")
 	}
 	opts := Options{K: 3, Theta: 4, Seed: 97}
-	opts.Adaptive = AdaptiveOptions{Enabled: true, Eps: 2, Delta: 0.05}
+	opts.Adaptive = AdaptiveOptions{Enabled: true, Eps: 0.99, Delta: 0.05}
 	s, err := NewSearcher(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +392,7 @@ func TestAdaptiveEarlyStopInFlightRecorder(t *testing.T) {
 		}
 	}
 	if stops == 0 {
-		t.Error("no early_stop outcome reached the flight recorder at ε=2")
+		t.Error("no early_stop outcome reached the flight recorder at ε=0.99")
 	}
 }
 

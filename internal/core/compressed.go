@@ -60,16 +60,6 @@ func (r EvalResult) Equal(o EvalResult) bool {
 	return true
 }
 
-// CompressedEvaluate runs Algorithm 1 over the chain using the given shared
-// RR graphs. The RR graphs must have been sampled on the same graph (or the
-// same restricted node set) the chain's levels are defined over. k is the
-// required influence rank (q is top-k iff fewer than k nodes have strictly
-// larger estimated influence).
-func CompressedEvaluate(ch *Chain, rrs []*influence.RRGraph, k int) EvalResult {
-	res, _ := CompressedEvaluateCtx(context.Background(), ch, rrs, k)
-	return res
-}
-
 // EvalScratch holds the reusable working buffers of a compressed
 // evaluation. The HFS fold uses per-level queues and per-RR visited marks
 // and appends every bucket entry, as a (level, node) occurrence, to one flat
@@ -79,10 +69,10 @@ func CompressedEvaluate(ch *Chain, rrs []*influence.RRGraph, k int) EvalResult {
 // to the top-k set once per level, at its final count. A touched list resets
 // only the tally cells the previous sweep wrote, so a scratch may be reused
 // across chains and graphs of any size and returns exactly the
-// fresh-allocation result. The []*RRGraph entry points copy their RR graphs
-// into the scratch's lowering arena, a flat pool the same fold reads; the
-// engine's pools are flat already and skip the copy. A scratch is
-// single-goroutine; the engine pools one per query.
+// fresh-allocation result. CompressedEvaluateScratchCtx copies its RR
+// graphs into the scratch's lowering arena, a flat pool the same fold
+// reads; the engine's pools are flat already and skip the copy. A scratch
+// is single-goroutine; the engine pools one per query.
 type EvalScratch struct {
 	queues  [][]int32
 	visited []bool
@@ -142,18 +132,10 @@ func (sc *EvalScratch) visitedFor(n int) []bool {
 	return sc.visited
 }
 
-// CompressedEvaluateCtx is CompressedEvaluate with cancellation: the HFS
-// pass polls ctx.Err() once per influence.PollEvery RR graphs and aborts
-// with a *influence.CanceledError counting the RR graphs folded in so far.
-// An uncancelled call returns exactly CompressedEvaluate's result.
-func CompressedEvaluateCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int) (EvalResult, error) {
-	return CompressedEvaluateScratchCtx(ctx, ch, rrs, k, NewEvalScratch())
-}
-
-// CompressedEvaluateScratchCtx is CompressedEvaluateCtx drawing every working
-// buffer from sc instead of allocating. It copies rrs into sc's lowering
-// arena and runs CompressedEvaluatePoolCtx over that pool, so results are
-// identical to the allocating call for any (possibly dirty) scratch.
+// CompressedEvaluateScratchCtx is CompressedEvaluatePoolCtx over RR graphs
+// held one header each: it copies rrs into sc's lowering arena and
+// evaluates that pool, so its result is the pool evaluation's for any
+// (possibly dirty) scratch.
 func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *EvalScratch) (EvalResult, error) {
 	if sc.lowered == nil {
 		sc.lowered = influence.NewArena()
@@ -168,10 +150,12 @@ func CompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influen
 
 // CompressedEvaluatePoolCtx runs Algorithm 1 over a flat RR pool with every
 // working buffer drawn from sc: one HFS fold over the pool, then the
-// incremental top-k sweep. The fold polls ctx.Err() once per
-// influence.PollEvery samples and aborts with a *influence.CanceledError
-// counting the samples folded in so far. The result's per-level slices are
-// backed by sc (see EvalResult).
+// incremental top-k sweep. The pool must have been sampled on the graph (or
+// the restricted node set) the chain's levels are defined over; q is top-k
+// at a level iff fewer than k nodes rank strictly ahead of it there. The
+// fold polls ctx.Err() once per influence.PollEvery samples and aborts with
+// a *influence.CanceledError counting the samples folded in so far. The
+// result's per-level slices are backed by sc (see EvalResult).
 func CompressedEvaluatePoolCtx(ctx context.Context, ch *Chain, pool influence.Pool, k int, sc *EvalScratch) (EvalResult, error) {
 	sc.prepare(ch.Len())
 	// Stage 1: shared sample generation (HFS over every RR graph).

@@ -12,14 +12,45 @@ import (
 	"github.com/codsearch/cod/internal/obs"
 )
 
+// drawPool samples count RR graphs from s into a fresh arena.
+func drawPool(t testing.TB, s influence.ArenaSampler, count int) influence.Pool {
+	t.Helper()
+	pool, err := influence.BatchPoolCtx(context.Background(), s, count, influence.NewArena())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+// samples returns a header over each of pool's samples, for references that
+// walk RR graphs one at a time.
+func samples(pool influence.Pool) []*influence.RRGraph {
+	out := make([]*influence.RRGraph, pool.Len())
+	for i := range out {
+		r := pool.Sample(i)
+		out[i] = &r
+	}
+	return out
+}
+
+// evaluate runs Algorithm 1 over pool with a fresh scratch.
+func evaluate(t testing.TB, ch *Chain, pool influence.Pool, k int) EvalResult {
+	t.Helper()
+	res, err := CompressedEvaluatePoolCtx(context.Background(), ch, pool, k, NewEvalScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // referenceCounts computes, per chain level and node, the number of RR
 // graphs whose induced RR graph on C_h reaches the node — the quantity the
 // compressed HFS buckets must reconstruct cumulatively (Theorem 2).
-func referenceCounts(ch *Chain, rrs []*influence.RRGraph) []map[graph.NodeID]int {
+func referenceCounts(ch *Chain, pool influence.Pool) []map[graph.NodeID]int {
 	out := make([]map[graph.NodeID]int, ch.Len())
 	for h := range out {
 		out[h] = map[graph.NodeID]int{}
-		for _, r := range rrs {
+		for _, r := range samples(pool) {
 			reach := r.ReachableWithin(func(v graph.NodeID) bool { return ch.Contains(v, h) })
 			for i, ok := range reach {
 				if ok {
@@ -33,7 +64,7 @@ func referenceCounts(ch *Chain, rrs []*influence.RRGraph) []map[graph.NodeID]int
 
 // referenceBest finds the largest level where q is top-k under the reference
 // counts and the canonical influence order (count descending, count ties by
-// smaller node ID), mirroring CompressedEvaluate's semantics.
+// smaller node ID), mirroring CompressedEvaluatePoolCtx's semantics.
 func referenceBest(ch *Chain, ref []map[graph.NodeID]int, k int) int {
 	best := -1
 	for h := range ref {
@@ -62,18 +93,18 @@ func TestCompressedMatchesReference(t *testing.T) {
 		q := graph.NodeID(rng.IntN(40))
 		ch := ChainFromTree(tr, q)
 		s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+100))
-		rrs := s.Batch(400)
+		pool := drawPool(t, s, 400)
 
-		ref := referenceCounts(ch, rrs)
+		ref := referenceCounts(ch, pool)
 		for _, k := range []int{1, 2, 5} {
-			got := CompressedEvaluate(ch, rrs, k)
+			got := evaluate(t, ch, pool, k)
 			want := referenceBest(ch, ref, k)
 			if got.Level != want {
 				t.Errorf("seed=%d k=%d: level = %d, want %d", seed, k, got.Level, want)
 			}
 		}
 		// The query count must equal its reference count in the top level.
-		got := CompressedEvaluate(ch, rrs, 1)
+		got := evaluate(t, ch, pool, 1)
 		if got.QCount != ref[ch.Len()-1][q] {
 			t.Errorf("seed=%d: QCount = %d, want %d", seed, got.QCount, ref[ch.Len()-1][q])
 		}
@@ -92,13 +123,13 @@ func TestCompressedCumulativeCounts(t *testing.T) {
 	q := graph.NodeID(7)
 	ch := ChainFromTree(tr, q)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(43))
-	rrs := s.Batch(300)
-	ref := referenceCounts(ch, rrs)
+	pool := drawPool(t, s, 300)
+	ref := referenceCounts(ch, pool)
 
 	// Truncated chains end at level h; QCount then equals ref[h][q].
 	for h := 0; h < ch.Len(); h++ {
 		trunc := &Chain{q: q, level: ch.level, sizes: ch.sizes[:h+1], depks: ch.depks[:h+1]}
-		got := CompressedEvaluate(trunc, rrs, 1)
+		got := evaluate(t, trunc, pool, 1)
 		if got.QCount != ref[h][q] {
 			t.Errorf("level %d: QCount = %d, want %d", h, got.QCount, ref[h][q])
 		}
@@ -115,12 +146,12 @@ func TestCompressedBucketBound(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 3)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(6))
-	rrs := s.Batch(500)
+	pool := drawPool(t, s, 500)
 	total := 0
-	for _, r := range rrs {
-		total += r.Len()
+	for i := 0; i < pool.Len(); i++ {
+		total += len(pool.Nodes(i))
 	}
-	res := CompressedEvaluate(ch, rrs, 3)
+	res := evaluate(t, ch, pool, 3)
 	if res.Buckets > total {
 		t.Errorf("bucket entries %d exceed RR nodes %d (Lemma 2)", res.Buckets, total)
 	}
@@ -140,8 +171,7 @@ func TestCompressedWholeGraphAlwaysChecked(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 11)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(10))
-	rrs := s.Batch(200)
-	res := CompressedEvaluate(ch, rrs, 25)
+	res := evaluate(t, ch, drawPool(t, s, 200), 25)
 	if res.Level != ch.Len()-1 {
 		t.Errorf("k=n should select the root community, got level %d", res.Level)
 	}
@@ -155,7 +185,7 @@ func TestCompressedNoSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := ChainFromTree(tr, 0)
-	res := CompressedEvaluate(ch, nil, 1)
+	res := evaluate(t, ch, influence.Pool{}, 1)
 	// Zero samples: every node has count 0, ties favor q, so the whole graph
 	// qualifies. This documents the degenerate-behavior contract.
 	if res.Level != ch.Len()-1 {
@@ -230,8 +260,7 @@ func TestIndependentAgainstCompressed(t *testing.T) {
 	ch := ChainFromTree(tr, 0)
 	model := influence.NewWeightedCascade(g)
 	s := influence.NewSampler(g, model, graph.NewRand(77))
-	rrs := s.Batch(4000)
-	comp := CompressedEvaluate(ch, rrs, 1)
+	comp := evaluate(t, ch, drawPool(t, s, 4000), 1)
 	ind, done := IndependentEvaluate(g, model, ch, 1, 300, graph.NewRand(78), 0)
 	if !done {
 		t.Fatal("independent did not finish")
@@ -292,10 +321,10 @@ func TestCompressedMatchesReferenceLT(t *testing.T) {
 		q := graph.NodeID(rng.IntN(35))
 		ch := ChainFromTree(tr, q)
 		s := influence.NewLTSampler(g, influence.UniformLT{G: g}, graph.NewRand(seed+700))
-		rrs := s.Batch(400)
-		ref := referenceCounts(ch, rrs)
+		pool := drawPool(t, s, 400)
+		ref := referenceCounts(ch, pool)
 		for _, k := range []int{1, 3} {
-			got := CompressedEvaluate(ch, rrs, k)
+			got := evaluate(t, ch, pool, k)
 			want := referenceBest(ch, ref, k)
 			if got.Level != want {
 				t.Errorf("LT seed=%d k=%d: level %d, want %d", seed, k, got.Level, want)
@@ -325,8 +354,8 @@ func TestLemma1NonMonotoneRank(t *testing.T) {
 	}
 	ch := ChainFromTree(tr, 0)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(11))
-	rrs := s.Batch(5000)
-	ref := referenceCounts(ch, rrs)
+	pool := drawPool(t, s, 5000)
+	ref := referenceCounts(ch, pool)
 
 	// rank of q per level
 	ranks := make([]int, ch.Len())
@@ -350,13 +379,15 @@ func TestLemma1NonMonotoneRank(t *testing.T) {
 	if top1Levels == 0 || top1Levels == len(ranks) {
 		t.Skipf("degenerate ranks %v; dendrogram shape changed", ranks)
 	}
-	res := CompressedEvaluate(ch, rrs, 1)
+	res := evaluate(t, ch, pool, 1)
 	want := referenceBest(ch, ref, 1)
 	if res.Level != want {
 		t.Errorf("level %d, want %d (ranks %v)", res.Level, want, ranks)
 	}
 }
 
+// The pool evaluation and the []*RRGraph lowering of the same samples give
+// one result, and both stop on a canceled context with the context's error.
 func TestCompressedEvaluateCtxMatches(t *testing.T) {
 	g := graph.ErdosRenyi(60, 200, graph.NewRand(33))
 	tr, err := hac.Cluster(g, hac.UnweightedAverage)
@@ -364,42 +395,45 @@ func TestCompressedEvaluateCtxMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := ChainFromTree(tr, 7)
-	rrs := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(8)).Batch(400)
-	want := CompressedEvaluate(ch, rrs, 3)
-	got, err := CompressedEvaluateCtx(context.Background(), ch, rrs, 3)
+	pool := drawPool(t, influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(8)), 400)
+	want := evaluate(t, ch, pool, 3)
+	got, err := CompressedEvaluateScratchCtx(context.Background(), ch, samples(pool), 3, NewEvalScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Errorf("CompressedEvaluateCtx = %+v, want %+v", got, want)
+		t.Errorf("CompressedEvaluateScratchCtx = %+v, want %+v", got, want)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompressedEvaluateCtx(ctx, ch, rrs, 3); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled evaluation error = %v", err)
+	if _, err := CompressedEvaluatePoolCtx(ctx, ch, pool, 3, NewEvalScratch()); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled pool evaluation error = %v", err)
+	}
+	if _, err := CompressedEvaluateScratchCtx(ctx, ch, samples(pool), 3, NewEvalScratch()); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled lowering evaluation error = %v", err)
 	}
 }
 
 // TestCompressedEvaluateScratchReuse locks the determinism contract of the
 // scratch-backed evaluation: a scratch reused across chains of different
-// shapes must produce exactly the allocating path's result every time.
+// shapes must produce exactly the fresh scratch's result every time.
 func TestCompressedEvaluateScratchReuse(t *testing.T) {
 	g := graph.ErdosRenyi(60, 200, graph.NewRand(34))
 	tr, err := hac.Cluster(g, hac.UnweightedAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrs := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(9)).Batch(300)
+	pool := drawPool(t, influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(9)), 300)
 	sc := NewEvalScratch()
 	for _, q := range []graph.NodeID{0, 13, 27, 41, 59, 13} {
 		ch := ChainFromTree(tr, q)
-		want := CompressedEvaluate(ch, rrs, 3)
-		got, err := CompressedEvaluateScratchCtx(context.Background(), ch, rrs, 3, sc)
+		want := evaluate(t, ch, pool, 3)
+		got, err := CompressedEvaluatePoolCtx(context.Background(), ch, pool, 3, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("q=%d: scratch eval = %+v, want %+v", q, got, want)
+			t.Errorf("q=%d: reused scratch eval = %+v, want %+v", q, got, want)
 		}
 	}
 }
@@ -408,7 +442,7 @@ func TestCompressedEvaluateScratchReuse(t *testing.T) {
 type denseCase struct {
 	name string
 	ch   *Chain
-	rrs  []*influence.RRGraph
+	pool influence.Pool
 }
 
 // denseCases builds tree, merged and inner chains over ER and
@@ -452,16 +486,16 @@ func denseCases(t *testing.T) []denseCase {
 		lt := influence.NewLTSampler(g, influence.UniformLT{G: g}, rng)
 		pools := []struct {
 			name string
-			rrs  []*influence.RRGraph
+			pool influence.Pool
 		}{
-			{"ic/12", ic.Batch(12)},
-			{"ic/3n", ic.Batch(3 * g.N())},
-			{"lt/12", lt.Batch(12)},
-			{"lt/3n", lt.Batch(3 * g.N())},
+			{"ic/12", drawPool(t, ic, 12)},
+			{"ic/3n", drawPool(t, ic, 3*g.N())},
+			{"lt/12", drawPool(t, lt, 12)},
+			{"lt/3n", drawPool(t, lt, 3*g.N())},
 		}
 		for _, c := range chains {
 			for _, p := range pools {
-				cases = append(cases, denseCase{b.name + "/" + c.name + "/" + p.name, c.ch, p.rrs})
+				cases = append(cases, denseCase{b.name + "/" + c.name + "/" + p.name, c.ch, p.pool})
 			}
 		}
 		members := rec.Sub.ToParent
@@ -469,12 +503,12 @@ func denseCases(t *testing.T) []denseCase {
 		for _, v := range members {
 			in[v] = true
 		}
-		var within []*influence.RRGraph
+		within := influence.NewArena()
 		for i := 0; i < 3*len(members); i++ {
-			within = append(within, ic.RRGraphWithin(members[rng.IntN(len(members))],
-				func(v graph.NodeID) bool { return in[v] }))
+			ic.RRGraphWithinInto(within, members[rng.IntN(len(members))],
+				func(v graph.NodeID) bool { return in[v] })
 		}
-		cases = append(cases, denseCase{b.name + "/inner/ic-within", chains[2].ch, within})
+		cases = append(cases, denseCase{b.name + "/inner/ic-within", chains[2].ch, within.Pool()})
 	}
 	return cases
 }
@@ -487,9 +521,9 @@ func TestDenseEvalMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	sc := NewEvalScratch()
 	for _, c := range denseCases(t) {
-		pool := influence.PoolOf(c.rrs)
+		pool, rrs := c.pool, samples(c.pool)
 		for _, k := range []int{1, 3, 5} {
-			want, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, newLegacyEvalScratch())
+			want, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, rrs, k, newLegacyEvalScratch())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,7 +534,7 @@ func TestDenseEvalMatchesLegacy(t *testing.T) {
 			if !got.Equal(want) {
 				t.Errorf("%s k=%d: pool %+v, map-based %+v", c.name, k, got, want)
 			}
-			got, err = CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs, k, sc)
+			got, err = CompressedEvaluateScratchCtx(ctx, c.ch, rrs, k, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,13 +557,13 @@ func TestDenseStagedMatchesLegacy(t *testing.T) {
 	flat := NewEvalScratch()
 	ties := 0
 	for _, c := range denseCases(t) {
-		pool := influence.PoolOf(c.rrs)
+		pool, rrs := c.pool, samples(c.pool)
 		for _, k := range []int{1, 3, 5} {
 			ref := newLegacyStagedEval(c.ch, k, nil)
 			se := NewStagedEval(c.ch, k, sc)
-			n := len(c.rrs)
+			n := len(rrs)
 			for _, cum := range []int{n / 8, n / 4, n / 2, n} {
-				if err := ref.Fold(ctx, c.rrs[:cum]); err != nil {
+				if err := ref.Fold(ctx, rrs[:cum]); err != nil {
 					t.Fatal(err)
 				}
 				if err := se.Fold(ctx, pool.Prefix(cum)); err != nil {
@@ -546,14 +580,14 @@ func TestDenseStagedMatchesLegacy(t *testing.T) {
 						ties++
 					}
 				}
-				whole, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, c.rrs[:cum], k, newLegacyEvalScratch())
+				whole, err := legacyCompressedEvaluateScratchCtx(ctx, c.ch, rrs[:cum], k, newLegacyEvalScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got, err := CompressedEvaluatePoolCtx(ctx, c.ch, pool.Prefix(cum), k, flat); err != nil || !got.Equal(whole) {
 					t.Fatalf("%s k=%d cum=%d: prefix pool %+v (err %v), map-based %+v", c.name, k, cum, got, err, whole)
 				}
-				if got, err := CompressedEvaluateScratchCtx(ctx, c.ch, c.rrs[:cum], k, flat); err != nil || !got.Equal(whole) {
+				if got, err := CompressedEvaluateScratchCtx(ctx, c.ch, rrs[:cum], k, flat); err != nil || !got.Equal(whole) {
 					t.Fatalf("%s k=%d cum=%d: prefix lowering %+v (err %v), map-based %+v", c.name, k, cum, got, err, whole)
 				}
 			}
@@ -567,7 +601,8 @@ func TestDenseStagedMatchesLegacy(t *testing.T) {
 // A warm scratch evaluation allocates nothing: every working buffer, the
 // top-k set included, lives in the scratch.
 func TestCompressedEvaluateScratchAllocs(t *testing.T) {
-	ch, rrs := stagedChain(t, 2, 60, 200, 400)
+	ch, pool := stagedChain(t, 2, 60, 200, 400)
+	rrs := samples(pool)
 	ctx := context.Background()
 	sc := NewEvalScratch()
 	eval := func() {
@@ -579,7 +614,6 @@ func TestCompressedEvaluateScratchAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, eval); n > 0 {
 		t.Errorf("warm evaluation allocated %v objects, want 0", n)
 	}
-	pool := influence.PoolOf(rrs)
 	evalPool := func() {
 		if _, err := CompressedEvaluatePoolCtx(ctx, ch, pool, 3, sc); err != nil {
 			t.Fatal(err)
@@ -651,9 +685,9 @@ func (sc *legacyEvalScratch) visitedFor(n int) []bool {
 	return sc.visited
 }
 
-// legacyCompressedEvaluateScratchCtx is CompressedEvaluateCtx drawing every working
-// buffer from sc instead of allocating. Results are identical to the
-// allocating call for any (possibly dirty) scratch.
+// legacyCompressedEvaluateScratchCtx is the map-based evaluation drawing
+// every working buffer from sc instead of allocating. Results are identical
+// to the allocating call for any (possibly dirty) scratch.
 func legacyCompressedEvaluateScratchCtx(ctx context.Context, ch *Chain, rrs []*influence.RRGraph, k int, sc *legacyEvalScratch) (EvalResult, error) {
 	rec := obs.FromContext(ctx)
 	L := ch.Len()
@@ -810,8 +844,8 @@ func (se *legacyStagedEval) Fold(ctx context.Context, rrs []*influence.RRGraph) 
 // Sweep runs the incremental top-k sweep over the folded pool, returning
 // the evaluation result as of this stage and the per-level margins (valid
 // until the next Sweep). The decision at every level — and therefore the
-// result — is identical to CompressedEvaluate over the same folded pool:
-// the sweep tracks the k largest non-q nodes instead of the k largest
+// result — is identical to the non-staged evaluation over the same folded
+// pool: the sweep tracks the k largest non-q nodes instead of the k largest
 // overall, which changes the boundary bookkeeping but not whether fewer
 // than k nodes rank ahead of q.
 func (se *legacyStagedEval) Sweep(ctx context.Context) (EvalResult, []LevelMargin) {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/codsearch/cod/internal/graph"
 	"github.com/codsearch/cod/internal/hac"
-	"github.com/codsearch/cod/internal/influence"
 )
 
 func TestHimorRoundTrip(t *testing.T) {
@@ -15,7 +14,7 @@ func TestHimorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(81))
+	idx := himorFrom(t, g, tr, 5, graph.NewRand(81))
 	var buf bytes.Buffer
 	n, err := idx.WriteTo(&buf)
 	if err != nil {
@@ -46,7 +45,7 @@ func TestReadHimorRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 3, graph.NewRand(83))
+	idx := himorFrom(t, g, tr, 3, graph.NewRand(83))
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)

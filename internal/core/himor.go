@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"sort"
 
 	"github.com/codsearch/cod/internal/graph"
@@ -33,23 +32,10 @@ type Himor struct {
 	nnz []int32
 }
 
-// BuildHimor constructs the HIMOR index over hierarchy t of graph g, using
-// theta RR graphs per node (Θ = theta·|V|) under the given IC influence
-// model. For other models use BuildHimorWithSampler.
-func BuildHimor(g *graph.Graph, t *hier.Tree, model influence.Model, theta int, rng *rand.Rand) *Himor {
-	return BuildHimorWithSampler(g, t, influence.NewSampler(g, model, rng), theta)
-}
-
-// BuildHimorWithSampler constructs the HIMOR index from any arena-writing
-// RR-graph sampler (IC, LT, ...), using Θ = theta·|V| samples.
-func BuildHimorWithSampler(g *graph.Graph, t *hier.Tree, sampler influence.ArenaSampler, theta int) *Himor {
-	h, _ := BuildHimorWithSamplerCtx(context.Background(), g, t, sampler, theta)
-	return h
-}
-
-// BuildHimorWithSamplerCtx is BuildHimorWithSampler with cancellation: the
-// sampling runs through influence.BatchPoolCtx, which polls ctx.Err() at a
-// bounded interval. Uncancelled builds are identical.
+// BuildHimorWithSamplerCtx constructs the HIMOR index over hierarchy t of
+// graph g from Θ = theta·|V| RR graphs drawn in sequence from one
+// arena-writing sampler (IC, LT, ...). The sampling runs through
+// influence.BatchPoolCtx, which polls ctx.Err() at a bounded interval.
 func BuildHimorWithSamplerCtx(ctx context.Context, g *graph.Graph, t *hier.Tree, sampler influence.ArenaSampler, theta int) (*Himor, error) {
 	pool, err := influence.BatchPoolCtx(ctx, sampler, theta*g.N(), influence.NewArena())
 	if err != nil {

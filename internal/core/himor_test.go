@@ -13,6 +13,18 @@ import (
 	"github.com/codsearch/cod/internal/influence"
 )
 
+// himorFrom builds the index from theta·|V| IC samples streamed from one
+// sampler driven by rng.
+func himorFrom(t *testing.T, g *graph.Graph, tr *hier.Tree, theta int, rng *rand.Rand) *Himor {
+	t.Helper()
+	idx, err := BuildHimorWithSamplerCtx(context.Background(), g, tr,
+		influence.NewSampler(g, influence.NewWeightedCascade(g), rng), theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 // referenceHimorRank recomputes rank_C(q) from the same RR graph pool by
 // brute-force induced reachability (Theorem 2), the quantity HIMOR's
 // compressed construction must reproduce.
@@ -48,14 +60,13 @@ func TestHimorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := influence.NewWeightedCascade(g)
 		theta := 8
-		idx := BuildHimor(g, tr, model, theta, graph.NewRand(seed+60))
+		idx := himorFrom(t, g, tr, theta, graph.NewRand(seed+60))
 
 		// Regenerate the identical RR pool (same seed, same consumption
 		// order) for the reference computation.
-		s := influence.NewSampler(g, model, graph.NewRand(seed+60))
-		rrs := s.Batch(theta * g.N())
+		s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+60))
+		rrs := samples(drawPool(t, s, theta*g.N()))
 
 		for _, q := range []graph.NodeID{0, 7, 19, 34} {
 			for _, v := range tr.Ancestors(tr.LeafOf(q)) {
@@ -76,7 +87,7 @@ func TestHimorRootRanksEveryNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 10, graph.NewRand(71))
+	idx := himorFrom(t, g, tr, 10, graph.NewRand(71))
 	root := tr.Root()
 	// Ranks at the root are a permutation-with-ties: all in [0, n).
 	for q := graph.NodeID(0); q < 40; q++ {
@@ -97,7 +108,7 @@ func TestHimorAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 5, graph.NewRand(73))
+	idx := himorFrom(t, g, tr, 5, graph.NewRand(73))
 	if idx.Theta() != 5 {
 		t.Errorf("Theta = %d", idx.Theta())
 	}
@@ -118,7 +129,7 @@ func TestHimorZeroCountNodeRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildHimor(g, tr, influence.NewWeightedCascade(g), 0, graph.NewRand(75))
+	idx := himorFrom(t, g, tr, 0, graph.NewRand(75))
 	for q := graph.NodeID(0); q < 15; q++ {
 		for _, v := range tr.Ancestors(tr.LeafOf(q)) {
 			if r := idx.Rank(q, v); r != 0 {
@@ -130,8 +141,8 @@ func TestHimorZeroCountNodeRank(t *testing.T) {
 
 // The parallel build samples per-worker arenas and joins them in index
 // order; for every worker count its index must equal one built from the
-// same per-item-seeded samples drawn one by one with the allocating
-// sampler, and so must the joined pool itself.
+// same per-item-seeded samples drawn one by one into a single arena, and
+// so must the joined pool itself.
 func TestHimorParallelMatchesPool(t *testing.T) {
 	g := graph.ErdosRenyi(30, 90, graph.NewRand(90))
 	tr, err := hac.Cluster(g, hac.UnweightedAverage)
@@ -141,12 +152,13 @@ func TestHimorParallelMatchesPool(t *testing.T) {
 	model := influence.NewWeightedCascade(g)
 	src := graph.NewPCG(0)
 	s := influence.NewSampler(g, model, rand.New(src))
-	var rrs []*influence.RRGraph
+	a := influence.NewArena()
 	for i := 0; i < 4*g.N(); i++ {
 		graph.SeedPCG(src, graph.ItemSeed(91, i))
-		rrs = append(rrs, s.RRGraph())
+		s.RRGraphInto(a)
 	}
-	ref := buildHimor(g, tr, 4, influence.PoolOf(rrs))
+	rrs := samples(a.Pool())
+	ref := buildHimor(g, tr, 4, a.Pool())
 	for workers := 1; workers <= 4; workers++ {
 		pool := influence.ParallelBatch(g, model, 4*g.N(), 91, workers)
 		if pool.Len() != len(rrs) {

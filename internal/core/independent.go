@@ -11,7 +11,8 @@ import (
 // chain is evaluated from scratch with its own pool of θ·|C| RR sets sampled
 // within the community, so the total sampling cost grows with
 // Σ_{C∈H(q)} |C| instead of being shared. It returns the same EvalResult
-// shape as CompressedEvaluate; Buckets reports the total RR-set node count.
+// shape as CompressedEvaluatePoolCtx; Buckets reports the total RR-set node
+// count.
 //
 // budget, when positive, caps the total number of RR sets across all
 // communities; if the cap is hit the evaluation stops early and returns the

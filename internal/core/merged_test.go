@@ -59,10 +59,10 @@ func TestMergedChainEvaluationMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+300))
-		rrs := s.Batch(300)
-		ref := referenceCounts(merged, rrs)
+		pool := drawPool(t, s, 300)
+		ref := referenceCounts(merged, pool)
 		for _, k := range []int{1, 3} {
-			got := CompressedEvaluate(merged, rrs, k)
+			got := evaluate(t, merged, pool, k)
 			want := referenceBest(merged, ref, k)
 			if got.Level != want {
 				t.Errorf("seed %d k=%d: level %d, want %d", seed, k, got.Level, want)

@@ -12,7 +12,7 @@ import (
 // stages and re-sweeps the accumulated occurrences after each stage; folding
 // every sample exactly once keeps the total HFS cost equal to one
 // non-staged evaluation, and a run that reaches the full pool returns
-// exactly CompressedEvaluate's result.
+// exactly CompressedEvaluatePoolCtx's result.
 
 // LevelMargin reports, for one chain level after a sweep, the raw counts the
 // rank-k decision for q rests on. Normalized by the pool size they form the
@@ -73,8 +73,8 @@ func (se *StagedEval) Fold(ctx context.Context, pool influence.Pool) error {
 // Sweep runs the incremental top-k sweep over the folded pool, returning
 // the evaluation result as of this stage and the per-level margins (valid
 // until the next Sweep). The decision at every level — and therefore the
-// result — is identical to CompressedEvaluate over the same folded pool,
-// since both run the same sweep.
+// result — is identical to CompressedEvaluatePoolCtx over the same folded
+// pool, since both run the same sweep.
 func (se *StagedEval) Sweep(ctx context.Context) (EvalResult, []LevelMargin) {
 	return se.sc.sweep(ctx, se.ch, se.k, se.margins), se.margins
 }

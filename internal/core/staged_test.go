@@ -11,7 +11,7 @@ import (
 )
 
 // stagedChain builds a random graph, chain and RR pool for staged tests.
-func stagedChain(t *testing.T, seed uint64, n, m, pool int) (*Chain, []*influence.RRGraph) {
+func stagedChain(t *testing.T, seed uint64, n, m, pool int) (*Chain, influence.Pool) {
 	t.Helper()
 	rng := graph.NewRand(seed)
 	g := graph.ErdosRenyi(n, m, rng)
@@ -22,7 +22,7 @@ func stagedChain(t *testing.T, seed uint64, n, m, pool int) (*Chain, []*influenc
 	q := graph.NodeID(rng.IntN(n))
 	ch := ChainFromTree(tr, q)
 	s := influence.NewSampler(g, influence.NewWeightedCascade(g), graph.NewRand(seed+900))
-	return ch, s.Batch(pool)
+	return ch, drawPool(t, s, pool)
 }
 
 // A staged evaluation folding the pool in geometric stages must land on
@@ -31,10 +31,9 @@ func stagedChain(t *testing.T, seed uint64, n, m, pool int) (*Chain, []*influenc
 func TestStagedMatchesCompressed(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(0); seed < 6; seed++ {
-		ch, rrs := stagedChain(t, seed, 40, 110, 400)
+		ch, pool := stagedChain(t, seed, 40, 110, 400)
 		for _, k := range []int{1, 2, 5} {
-			want := CompressedEvaluate(ch, rrs, k)
-			pool := influence.PoolOf(rrs)
+			want := evaluate(t, ch, pool, k)
 			se := NewStagedEval(ch, k, nil)
 			var res EvalResult
 			var margins []LevelMargin
@@ -46,7 +45,7 @@ func TestStagedMatchesCompressed(t *testing.T) {
 
 				// Every stage's sweep must agree with the reference decisions
 				// over the folded prefix.
-				ref := referenceCounts(ch, rrs[:cum])
+				ref := referenceCounts(ch, pool.Prefix(cum))
 				if res.Level != referenceBest(ch, ref, k) {
 					t.Fatalf("seed=%d k=%d cum=%d: level = %d, want %d",
 						seed, k, cum, res.Level, referenceBest(ch, ref, k))
@@ -72,8 +71,7 @@ func TestStagedMatchesCompressed(t *testing.T) {
 // past Folded(), so re-presenting the grown pool each stage is idempotent.
 func TestStagedFoldIdempotent(t *testing.T) {
 	ctx := context.Background()
-	ch, rrs := stagedChain(t, 3, 30, 70, 200)
-	pool := influence.PoolOf(rrs)
+	ch, pool := stagedChain(t, 3, 30, 70, 200)
 	se := NewStagedEval(ch, 2, nil)
 	if err := se.Fold(ctx, pool); err != nil {
 		t.Fatal(err)
@@ -86,8 +84,8 @@ func TestStagedFoldIdempotent(t *testing.T) {
 	if !res1.Equal(res2) {
 		t.Fatalf("refold changed the result: %+v vs %+v", res1, res2)
 	}
-	if !res1.Equal(CompressedEvaluate(ch, rrs, 2)) {
-		t.Fatalf("staged = %+v, want %+v", res1, CompressedEvaluate(ch, rrs, 2))
+	if want := evaluate(t, ch, pool, 2); !res1.Equal(want) {
+		t.Fatalf("staged = %+v, want %+v", res1, want)
 	}
 }
 
@@ -97,9 +95,9 @@ func TestStagedFoldIdempotent(t *testing.T) {
 func TestStagedMarginsConsistent(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(10); seed < 14; seed++ {
-		ch, rrs := stagedChain(t, seed, 36, 90, 300)
+		ch, pool := stagedChain(t, seed, 36, 90, 300)
 		se := NewStagedEval(ch, 3, nil)
-		if err := se.Fold(ctx, influence.PoolOf(rrs)); err != nil {
+		if err := se.Fold(ctx, pool); err != nil {
 			t.Fatal(err)
 		}
 		_, margins := se.Sweep(ctx)
@@ -117,8 +115,7 @@ func TestStagedMarginsConsistent(t *testing.T) {
 // A canceled Fold reports the RR graphs folded so far and the StagedEval
 // can resume cleanly once the context pressure is gone.
 func TestStagedFoldCanceled(t *testing.T) {
-	ch, rrs := stagedChain(t, 5, 30, 70, 200)
-	pool := influence.PoolOf(rrs)
+	ch, pool := stagedChain(t, 5, 30, 70, 200)
 	se := NewStagedEval(ch, 2, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -138,7 +135,7 @@ func TestStagedFoldCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := se.Sweep(context.Background())
-	if !res.Equal(CompressedEvaluate(ch, rrs, 2)) {
-		t.Fatalf("resumed staged = %+v, want %+v", res, CompressedEvaluate(ch, rrs, 2))
+	if want := evaluate(t, ch, pool, 2); !res.Equal(want) {
+		t.Fatalf("resumed staged = %+v, want %+v", res, want)
 	}
 }

@@ -140,7 +140,10 @@ func (u *Updater) Flush(s Strategy) error {
 	}
 
 	sampler := engine.NewGraphSampler(ng, p.Model, graph.NewRand(graph.ItemSeed(p.Seed, u.flushes)))
-	index := core.BuildHimorWithSampler(ng, nt, sampler, p.Theta)
+	index, err := core.BuildHimorWithSamplerCtx(context.Background(), ng, nt, sampler, p.Theta)
+	if err != nil {
+		return fmt.Errorf("dynamic: index build: %w", err)
+	}
 	u.g = ng
 	u.pending = u.pending[:0]
 	u.flushes++

@@ -168,10 +168,9 @@ func (c *sampleCache) get(ctx context.Context, e *Engine, pk predKey, count int,
 }
 
 // populate samples the pool with per-item seeding into arena and stores
-// an exact-size Clone of it: the arena's growth slack and build scratch
-// (live edges, CSR cursors) stay with the arena, which the caller's scratch
-// reuses, so populating allocates the same few objects whatever the pool
-// size once the arena is warm. A canceled attempt stores nothing. entry.mu
+// an exact-size Clone of it: the arena's growth slack stays with the arena,
+// which the caller's scratch reuses, so populating allocates the same few
+// objects whatever the pool size once the arena is warm. A canceled attempt stores nothing. entry.mu
 // is held by the caller.
 func (c *sampleCache) populate(ctx context.Context, e *Engine, key cacheKey, entry *poolEntry, count int, arena *influence.Arena) error {
 	arena.Reset()

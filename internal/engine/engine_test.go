@@ -20,20 +20,32 @@ import (
 )
 
 // The reference implementations below replicate the historical (pre-engine)
-// pipelines verbatim: fresh allocations everywhere, influence.BatchCtx for
-// shared pools, a fresh sampler per query. Execute with the sample cache
+// pipelines: fresh allocations everywhere, a fresh sampler and arena per
+// query, every sample handed to the evaluation as its own RR graph header
+// through core.CompressedEvaluateScratchCtx. Execute with the sample cache
 // disabled must match them byte-for-byte — this is the §9 determinism
 // contract for the pooled refactor.
 
+// refEvaluate runs Algorithm 1 over arena's samples, each read as its own
+// RR graph header, with a fresh scratch.
+func refEvaluate(ch *core.Chain, a *influence.Arena, k int) (core.EvalResult, error) {
+	return core.CompressedEvaluateScratchCtx(context.Background(), ch, a.Finalize(), k, core.NewEvalScratch())
+}
+
+// refSharedPool draws the θ·N whole-graph pool from rng into a fresh arena.
+func refSharedPool(g *graph.Graph, p Params, rng *rand.Rand) (*influence.Arena, error) {
+	a := influence.NewArena()
+	_, err := influence.BatchPoolCtx(context.Background(), NewGraphSampler(g, p.Model, rng), p.Theta*g.N(), a)
+	return a, err
+}
+
 func refCODU(g *graph.Graph, t *hier.Tree, p Params, q graph.NodeID, rng *rand.Rand) (Community, error) {
-	ctx := context.Background()
 	ch := core.ChainFromTree(t, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+	a, err := refSharedPool(g, p, rng)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, ch, rrs, p.K)
+	res, err := refEvaluate(ch, a, p.K)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
@@ -48,12 +60,11 @@ func refCODR(g *graph.Graph, p Params, q graph.NodeID, attr graph.AttrID, rng *r
 		return Community{}, err
 	}
 	ch := core.ChainFromTree(t, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+	a, err := refSharedPool(g, p, rng)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, ch, rrs, p.K)
+	res, err := refEvaluate(ch, a, p.K)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
@@ -84,12 +95,11 @@ func refCODL(g *graph.Graph, t *hier.Tree, idx *core.Himor, p Params, q graph.No
 	}
 	member := func(u graph.NodeID) bool { return in[u] }
 	s := NewGraphSampler(g, p.Model, rng)
-	total := p.Theta * len(members)
-	rrs := make([]*influence.RRGraph, 0, total)
-	for i := 0; i < total; i++ {
-		rrs = append(rrs, s.RRGraphWithin(members[rng.IntN(len(members))], member))
+	a := influence.NewArena()
+	for i := 0; i < p.Theta*len(members); i++ {
+		s.RRGraphWithinInto(a, members[rng.IntN(len(members))], member)
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, inner, rrs, p.K)
+	res, err := refEvaluate(inner, a, p.K)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
@@ -103,12 +113,11 @@ func refCODLNoIndex(g *graph.Graph, t *hier.Tree, p Params, q graph.NodeID, attr
 		return Community{}, err
 	}
 	merged := core.MergedChain(g, t, rec, q)
-	s := NewGraphSampler(g, p.Model, rng)
-	rrs, err := influence.BatchCtx(ctx, s, p.Theta*g.N())
+	a, err := refSharedPool(g, p, rng)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
-	res, err := core.CompressedEvaluateCtx(ctx, merged, rrs, p.K)
+	res, err := refEvaluate(merged, a, p.K)
 	if err != nil {
 		return Community{Level: -1}, err
 	}
@@ -308,7 +317,10 @@ func TestRebindInvalidatesCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := core.BuildHimor(ng, nt, influence.NewWeightedCascade(ng), p.Theta, graph.NewRand(7))
+		idx, err := core.BuildHimorWithSamplerCtx(ctx, ng, nt, NewGraphSampler(ng, ICWeightedCascade, graph.NewRand(7)), p.Theta)
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng.Rebind(ng, nt, idx)
 		if eng.Epoch() != 1 {
 			t.Fatalf("epoch after rebind = %d, want 1", eng.Epoch())

@@ -44,9 +44,9 @@ func NewGraphSampler(g *graph.Graph, m Model, rng *rand.Rand) influence.ArenaSam
 }
 
 // arenaSampler is the sampler contract the engine executes plans with: the
-// GraphSampler surface plus arena-writing variants plus rng rebinding, so a
-// pooled sampler (with its per-graph visited marks) serves successive
-// queries that each carry their own deterministic stream.
+// arena-writing influence.ArenaSampler plus rng rebinding, so a pooled
+// sampler (with its per-graph visited marks) serves successive queries that
+// each carry their own deterministic stream.
 type arenaSampler interface {
 	influence.ArenaSampler
 	SetRand(rng *rand.Rand)

@@ -114,8 +114,12 @@ func TestNewGraphSamplerKinds(t *testing.T) {
 	g := graph.ErdosRenyi(15, 40, graph.NewRand(85))
 	ic := NewGraphSampler(g, ICWeightedCascade, graph.NewRand(86))
 	lt := NewGraphSampler(g, LTUniform, graph.NewRand(86))
-	if ic.RRGraph() == nil || lt.RRGraph() == nil {
-		t.Fatal("samplers broken")
+	for _, s := range []influence.ArenaSampler{ic, lt} {
+		a := influence.NewArena()
+		s.RRGraphInto(a)
+		if a.Len() != 1 || len(a.Pool().Nodes(0)) == 0 {
+			t.Fatal("samplers broken")
+		}
 	}
 	if _, ok := ic.(*influence.Sampler); !ok {
 		t.Error("IC sampler wrong type")

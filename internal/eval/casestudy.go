@@ -35,9 +35,10 @@ func RunCaseStudy(cfg Config, maxCases int) ([]CaseStudy, error) {
 	}
 	acsIdx := acs.NewIndex(e.g)
 	rankRng := e.rng(0x9999)
+	codl := e.queryEngine()
 
 	build := func(q dataset.Query, requireATC bool) (CaseStudy, bool, error) {
-		codlAns, err := codlAnswer(e, q, []int{1}, 0xaaaa)
+		codlAns, err := codlAnswer(codl, e, q, []int{1}, 0xaaaa)
 		if err != nil {
 			return CaseStudy{}, false, err
 		}

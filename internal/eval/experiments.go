@@ -80,7 +80,11 @@ func newEnv(cfg Config, buildIndex bool) (*env, error) {
 		return nil, fmt.Errorf("eval: clustering %s: %w", cfg.Dataset, err)
 	}
 	if buildIndex {
-		e.index = core.BuildHimor(e.g, e.tree, e.model, cfg.Theta, graph.NewRand(cfg.Seed^0xbeef))
+		e.index, err = core.BuildHimorWithSamplerCtx(context.Background(), e.g, e.tree,
+			influence.NewSampler(e.g, e.model, graph.NewRand(cfg.Seed^0xbeef)), cfg.Theta)
+		if err != nil {
+			return nil, err
+		}
 	}
 	e.queries = dataset.Queries(e.g, cfg.NumQueries, graph.NewRand(cfg.Seed^0xcafe))
 	e.glInfl = GlobalInfluences(e.g, cfg.Theta, graph.NewRand(cfg.Seed^0xfeed))
@@ -91,10 +95,19 @@ func (e *env) rng(salt uint64) *rand.Rand { return graph.NewRand(e.cfg.Seed ^ sa
 
 // sharedPool samples one Θ = θ·n pool of RR graphs reused across queries in
 // effectiveness experiments (sampling is query-independent, so reuse is
-// unbiased per query; timing experiments sample per query instead).
-func (e *env) sharedPool(salt uint64) []*influence.RRGraph {
+// unbiased per query; timing experiments sample per query instead). Its
+// arena is never Reset, so the pool stays valid for as long as it is held.
+func (e *env) sharedPool(salt uint64) influence.Pool {
 	s := influence.NewSampler(e.g, e.model, e.rng(salt))
-	return s.Batch(e.cfg.Theta * e.g.N())
+	pool, _ := influence.BatchPoolCtx(context.Background(), s, e.cfg.Theta*e.g.N(), influence.NewArena())
+	return pool
+}
+
+// evalLevel runs Algorithm 1 for ch over pool at rank k in sc and returns
+// the chain level of C*(q), -1 when q is top-k at no level.
+func evalLevel(ch *core.Chain, pool influence.Pool, k int, sc *core.EvalScratch) int {
+	res, _ := core.CompressedEvaluatePoolCtx(context.Background(), ch, pool, k, sc)
+	return res.Level
 }
 
 // attrTrees returns an engine that reclusters the attribute-weighted graph
@@ -104,60 +117,34 @@ func (e *env) attrTrees() *engine.Engine {
 		engine.Config{CacheAttrTrees: true})
 }
 
+// queryEngine returns an engine over the env's tree and HIMOR index (nil
+// when the env built none) with the harness's θ, β and linkage; plans set
+// their own k. Its caches are off, so every query pays its own sampling
+// and reclustering, as the paper's per-query pipelines do.
+func (e *env) queryEngine() *engine.Engine {
+	return engine.New(e.g, e.tree, e.index,
+		engine.Params{Theta: e.cfg.Theta, Beta: e.cfg.Beta, Linkage: e.cfg.Linkage}, engine.Config{})
+}
+
 // lore runs LORE (Algorithm 2) for one query against the non-attributed
 // tree.
 func (e *env) lore(q dataset.Query) (*core.Reclustering, error) {
 	return core.LoreCtx(context.Background(), e.g, e.tree, q.Node, q.Attr, e.cfg.Beta, e.cfg.Linkage)
 }
 
-// codlAnswer evaluates Algorithm 3 for one query and every k in ks, reusing
-// the LORE reclustering and one restricted sample pool across the ks.
-func codlAnswer(e *env, q dataset.Query, ks []int, salt uint64) (map[int][]graph.NodeID, error) {
-	rec, err := e.lore(q)
-	if err != nil {
-		return nil, err
-	}
+// codlAnswer runs CODL for one query at every k in ks through eng, an
+// engine from queryEngine. Each k executes from a fresh stream of the same
+// seed, so every k that misses the index samples the same restricted pool.
+func codlAnswer(eng *engine.Engine, e *env, q dataset.Query, ks []int, salt uint64) (map[int][]graph.NodeID, error) {
 	out := make(map[int][]graph.NodeID, len(ks))
-	anc := e.tree.Ancestors(rec.CL)
-	var innerRes map[int]int // k -> level, computed lazily
-	var inner *core.Chain
 	for _, k := range ks {
-		served := false
-		for i := len(anc) - 1; i >= -1; i-- {
-			v := rec.CL
-			if i >= 0 {
-				v = anc[i]
-			}
-			if e.index.Rank(q.Node, v) < k {
-				out[k] = e.tree.Members(v)
-				served = true
-				break
-			}
+		pl := eng.CompileSpec(engine.Spec{Variant: engine.VariantCODL, Q: q.Node, Attr: q.Attr, K: k})
+		com, err := eng.Execute(context.Background(), pl, e.rng(salt^uint64(q.Node)<<16))
+		if err != nil {
+			return nil, err
 		}
-		if served {
-			continue
-		}
-		if innerRes == nil {
-			innerRes = map[int]int{}
-			inner = core.InnerChain(e.g, e.tree, rec, q.Node)
-			members := rec.Sub.ToParent
-			in := make([]bool, e.g.N())
-			for _, v := range members {
-				in[v] = true
-			}
-			member := func(u graph.NodeID) bool { return in[u] }
-			rng := e.rng(salt ^ uint64(q.Node)<<16)
-			s := influence.NewSampler(e.g, e.model, rng)
-			rrs := make([]*influence.RRGraph, e.cfg.Theta*len(members))
-			for i := range rrs {
-				rrs[i] = s.RRGraphWithin(members[rng.IntN(len(members))], member)
-			}
-			for _, kk := range ks {
-				innerRes[kk] = core.CompressedEvaluate(inner, rrs, kk).Level
-			}
-		}
-		if lvl := innerRes[k]; lvl >= 0 {
-			out[k] = inner.Members(lvl)
+		if com.Found {
+			out[k] = com.Nodes
 		}
 	}
 	return out, nil

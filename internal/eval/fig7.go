@@ -85,11 +85,12 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 
 	// --- CODU: one chain per query over the shared non-attributed tree.
 	pool := e.sharedPool(0x2222)
+	sc := core.NewEvalScratch()
 	for qi, q := range e.queries {
 		ch := core.ChainFromTree(e.tree, q.Node)
 		ans := answer{}
 		for _, k := range cfg.Ks {
-			if lvl := core.CompressedEvaluate(ch, pool, k).Level; lvl >= 0 {
+			if lvl := evalLevel(ch, pool, k, sc); lvl >= 0 {
 				ans[k] = ch.Members(lvl)
 			}
 		}
@@ -106,7 +107,7 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 		ch := core.ChainFromTree(t, q.Node)
 		ans := answer{}
 		for _, k := range cfg.Ks {
-			if lvl := core.CompressedEvaluate(ch, pool, k).Level; lvl >= 0 {
+			if lvl := evalLevel(ch, pool, k, sc); lvl >= 0 {
 				ans[k] = ch.Members(lvl)
 			}
 		}
@@ -114,8 +115,9 @@ func RunEffectiveness(cfg Config) (*EffectivenessResult, error) {
 	}
 
 	// --- CODL: LORE + HIMOR (Algorithm 3) per query.
+	codl := e.queryEngine()
 	for qi, q := range e.queries {
-		got, err := codlAnswer(e, q, cfg.Ks, 0x3333)
+		got, err := codlAnswer(codl, e, q, cfg.Ks, 0x3333)
 		if err != nil {
 			return nil, err
 		}

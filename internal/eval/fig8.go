@@ -47,6 +47,8 @@ func RunCompressedVsIndependent(cfg Config, k int, budget int) ([]Fig8Row, error
 		return nil, err
 	}
 	codr := e.attrTrees()
+	arena := influence.NewArena()
+	sc := core.NewEvalScratch()
 
 	var rows []Fig8Row
 	for _, theta := range cfg.Thetas {
@@ -63,8 +65,9 @@ func RunCompressedVsIndependent(cfg Config, k int, budget int) ([]Fig8Row, error
 			// Compressed: θ·n shared RR graphs, one pass.
 			start := time.Now()
 			s := influence.NewSampler(e.g, e.model, e.rng(uint64(qi)<<8^uint64(theta)))
-			rrs := s.Batch(theta * e.g.N())
-			lvl := core.CompressedEvaluate(ch, rrs, k).Level
+			arena.Reset()
+			pool, _ := influence.BatchPoolCtx(context.Background(), s, theta*e.g.N(), arena)
+			lvl := evalLevel(ch, pool, k, sc)
 			comp.AvgTime += time.Since(start)
 			comp.Total++
 			if lvl >= 0 {

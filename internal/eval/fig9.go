@@ -6,6 +6,7 @@ import (
 
 	"github.com/codsearch/cod/internal/core"
 	"github.com/codsearch/cod/internal/engine"
+	"github.com/codsearch/cod/internal/influence"
 )
 
 // Fig9Row reports the average query latency of one method on one dataset
@@ -38,10 +39,9 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := engine.Params{K: k, Theta: cfg.Theta, Beta: cfg.Beta, Linkage: cfg.Linkage, Seed: cfg.Seed}
 	// One engine runs all three methods. Its attribute-tree cache is off, so
 	// CODR pays the global recluster on every query.
-	eng := engine.New(e.g, e.tree, e.index, params, engine.Config{})
+	eng := e.queryEngine()
 
 	run := func(method string, v engine.Variant) Fig9Row {
 		row := Fig9Row{Dataset: cfg.Dataset, Method: method}
@@ -52,7 +52,8 @@ func RunRuntime(cfg Config, k int, limit time.Duration) ([]Fig9Row, error) {
 				break
 			}
 			rng := e.rng(uint64(qi)*31 + uint64(len(method)))
-			if _, err := eng.Execute(context.Background(), eng.Compile(v, q.Node, q.Attr), rng); err == nil {
+			pl := eng.CompileSpec(engine.Spec{Variant: v, Q: q.Node, Attr: q.Attr, K: k})
+			if _, err := eng.Execute(context.Background(), pl, rng); err == nil {
 				row.Queries++
 			}
 		}
@@ -87,7 +88,11 @@ func RunIndexOverhead(cfg Config) (*TableIIRow, error) {
 		return nil, err
 	}
 	start := time.Now()
-	idx := core.BuildHimor(e.g, e.tree, e.model, cfg.Theta, e.rng(0x7777))
+	idx, err := core.BuildHimorWithSamplerCtx(context.Background(), e.g, e.tree,
+		influence.NewSampler(e.g, e.model, e.rng(0x7777)), cfg.Theta)
+	if err != nil {
+		return nil, err
+	}
 	build := time.Since(start)
 
 	// Input size: CSR adjacency (2m int32 + n+1 offsets), attributes, plus

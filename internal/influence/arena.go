@@ -77,7 +77,7 @@ func (a *Arena) Append(r *RRGraph) {
 // pushNode as it discovers them, and endRR closes the sample. Every
 // sampler visits positions in discovery order and records a visited node's
 // live in-edges while it is visited, so rows are written in head order and
-// the layout is the one RRGraphFrom's bucketing builds.
+// the layout is RRGraph's CSR: live edges bucketed by head position.
 func (a *Arena) beginRR(src graph.NodeID) (base, adjBase int) {
 	if len(a.at) == 0 {
 		a.at = append(a.at, Start{})
@@ -150,14 +150,14 @@ func (a *Arena) Finalize() []*RRGraph {
 	return a.ptrs
 }
 
-// ArenaSampler is implemented by samplers that can write samples into an
-// Arena instead of allocating them; both the IC Sampler and the LTSampler
-// qualify, so the engine can pool sampling buffers for either model. The
-// arena variants consume randomness in exactly the same order as their
-// allocating counterparts: given equal rng states the samples are
-// byte-identical (locked by TestArenaSamplingByteIdentical).
+// ArenaSampler is the RR-graph sampling interface the COD pipelines depend
+// on: a sampler writes each RR graph into an Arena rather than allocating
+// it. The IC Sampler and the LTSampler implement it, one sampler per
+// influence model (§II, "Influence Models"), so the engine pools sampling
+// buffers for either. TestArenaSamplerByteIdentical locks both to the draw
+// order and layout of the allocating samplers they replaced, which survive
+// as its test reference.
 type ArenaSampler interface {
-	GraphSampler
 	// RRGraphInto samples one RR graph from a uniform source into a.
 	RRGraphInto(a *Arena)
 	// RRGraphWithinInto samples one RR graph rooted at src confined to
@@ -175,8 +175,10 @@ func (s *Sampler) RRGraphInto(a *Arena) {
 	s.RRGraphFromInto(a, graph.NodeID(s.rng.IntN(s.g.N())))
 }
 
-// RRGraphFromInto is RRGraphFrom writing into a: same coin policy, same
-// randomness order, arena-backed storage.
+// RRGraphFromInto samples one RR graph rooted at src into a. Every in-edge
+// (u, v) of every visited v gets an independent liveness coin with
+// probability p(u, v); live edges are recorded even when u was already
+// visited.
 func (s *Sampler) RRGraphFromInto(a *Arena, src graph.NodeID) {
 	s.ver++
 	base, adjBase := a.beginRR(src)
@@ -203,7 +205,10 @@ func (s *Sampler) RRGraphFromInto(a *Arena, src graph.NodeID) {
 	a.endRR(adjBase)
 }
 
-// RRGraphWithinInto is RRGraphWithin writing into a.
+// RRGraphWithinInto samples one RR graph rooted at src confined to member
+// nodes into a, with RRGraphFromInto's every-in-edge coin policy so that
+// induced RR graphs over sub-communities of the restriction remain
+// faithful.
 func (s *Sampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
 	base, adjBase := a.beginRR(src)
@@ -244,8 +249,13 @@ func (s *LTSampler) RRGraphWithinInto(a *Arena, src graph.NodeID, member func(gr
 	s.rrWalkInto(a, src, member)
 }
 
-// rrWalkInto is the arena form of the LT reverse walk; member == nil means
-// unrestricted. Randomness order matches RRGraphFrom/RRGraphWithin exactly.
+// rrWalkInto samples the LT RR graph rooted at src into a: the reverse walk
+// along each node's single live in-edge, stopped at the first revisit (whose
+// closing edge it records). A non-nil member confines it: the live in-edge
+// of each node is still chosen globally, since the possible world does not
+// depend on the community, but the walk stops as soon as the chosen tail
+// leaves the restriction, matching the induced RR graph semantics of
+// Definition 3 for LT live-edge worlds. member == nil means unrestricted.
 func (s *LTSampler) rrWalkInto(a *Arena, src graph.NodeID, member func(graph.NodeID) bool) {
 	s.ver++
 	base, adjBase := a.beginRR(src)

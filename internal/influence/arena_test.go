@@ -1,7 +1,6 @@
 package influence
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -12,18 +11,41 @@ func rrStr(r *RRGraph) string {
 	return fmt.Sprintf("nodes=%v off=%v adj=%v", r.Nodes, r.Off, r.Adj)
 }
 
-// TestArenaSamplerByteIdentical locks the arena contract: the Into variants
-// must consume the rng in exactly the allocating methods' order and produce
-// CSR layouts equal field-by-field, so pooled execution answers match the
-// allocating path byte-for-byte. Every sample must read the same from the
-// arena's Pool, from Finalize and from the allocating sampler, unrestricted
-// and restricted, under IC and LT.
+// sampleRRs draws count RR graphs from s into a fresh arena and returns
+// headers over them.
+func sampleRRs(s ArenaSampler, count int) []*RRGraph {
+	a := NewArena()
+	for i := 0; i < count; i++ {
+		s.RRGraphInto(a)
+	}
+	return poolRRs(a.Pool())
+}
+
+// sampleFrom draws one IC RR graph rooted at src.
+func sampleFrom(s *Sampler, src graph.NodeID) *RRGraph {
+	a := NewArena()
+	s.RRGraphFromInto(a, src)
+	return poolRRs(a.Pool())[0]
+}
+
+// sampleWithin draws one RR graph rooted at src confined to member nodes.
+func sampleWithin(s ArenaSampler, src graph.NodeID, member func(graph.NodeID) bool) *RRGraph {
+	a := NewArena()
+	s.RRGraphWithinInto(a, src, member)
+	return poolRRs(a.Pool())[0]
+}
+
+// TestArenaSamplerByteIdentical locks the arena samplers to the allocating
+// reference samplers of ref_test.go: the same rng consumption and CSR
+// layouts equal field-by-field. Every sample must read the same from the
+// arena's Pool, from Finalize and from the reference, unrestricted and
+// restricted, under IC and LT.
 func TestArenaSamplerByteIdentical(t *testing.T) {
 	g := graph.ErdosRenyi(60, 220, graph.NewRand(41))
 	member := func(u graph.NodeID) bool { return u%3 != 0 }
 
 	t.Run("ic", func(t *testing.T) {
-		ref := NewSampler(g, NewWeightedCascade(g), graph.NewRand(7))
+		ref := refSampler{NewSampler(g, NewWeightedCascade(g), graph.NewRand(7))}
 		got := NewSampler(g, NewWeightedCascade(g), graph.NewRand(7))
 		a := NewArena()
 		var want []*RRGraph
@@ -40,7 +62,7 @@ func TestArenaSamplerByteIdentical(t *testing.T) {
 	})
 
 	t.Run("lt", func(t *testing.T) {
-		ref := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(9))
+		ref := refLTSampler{NewLTSampler(g, UniformLT{G: g}, graph.NewRand(9))}
 		got := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(9))
 		a := NewArena()
 		var want []*RRGraph
@@ -84,35 +106,6 @@ func TestArenaResetReuse(t *testing.T) {
 		if rrStr(r) != first[i] {
 			t.Errorf("rr %d differs after Reset:\n got %s\nwant %s", i, rrStr(r), first[i])
 		}
-	}
-}
-
-// TestBatchIntoCtxMatchesBatchCtx locks the pooled batch entry point against
-// the allocating one, including the cancellation shape.
-func TestBatchIntoCtxMatchesBatchCtx(t *testing.T) {
-	g := graph.ErdosRenyi(50, 180, graph.NewRand(47))
-	want, err := BatchCtx(context.Background(),
-		NewSampler(g, NewWeightedCascade(g), graph.NewRand(13)), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArena()
-	got, err := BatchIntoCtx(context.Background(),
-		NewSampler(g, NewWeightedCascade(g), graph.NewRand(13)), 200, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRRs(t, got, want)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	a2 := NewArena()
-	partial, err := BatchIntoCtx(ctx, NewSampler(g, NewWeightedCascade(g), graph.NewRand(13)), 200, a2)
-	if err == nil {
-		t.Fatal("canceled BatchIntoCtx returned no error")
-	}
-	if len(partial) != 0 {
-		t.Errorf("pre-start cancellation returned %d samples", len(partial))
 	}
 }
 

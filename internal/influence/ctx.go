@@ -36,31 +36,11 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the underlying context error.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// BatchCtx samples count RR graphs from s, checking ctx.Err() every
-// PollEvery samples. On cancellation it returns the samples completed so far
-// together with a *CanceledError. An uncancelled call is byte-identical to
-// s.Batch(count): the polling consumes no randomness.
-func BatchCtx(ctx context.Context, s GraphSampler, count int) ([]*RRGraph, error) {
-	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
-	out := make([]*RRGraph, 0, count)
-	for i := 0; i < count; i++ {
-		if i%PollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				span.EndItems(i)
-				return out, &CanceledError{Op: "influence: rr batch", Done: i, Total: count, Cause: err}
-			}
-		}
-		out = append(out, s.RRGraph())
-	}
-	span.EndItems(count)
-	return out, nil
-}
-
-// BatchPoolCtx is BatchCtx writing every sample into a instead of
-// allocating: same polling cadence, same span, same randomness order, so
-// the pool's samples are byte-identical to BatchCtx's for equal rng states.
+// BatchPoolCtx samples count RR graphs from s into a, checking ctx.Err()
+// every PollEvery samples; the polling consumes no randomness, so an
+// uncancelled call holds exactly the samples of count RRGraphInto calls.
 // The pool aliases the arena (see Arena's ownership contract). On
-// cancellation the samples completed so far are returned with the
+// cancellation the samples completed so far are returned with a
 // *CanceledError.
 func BatchPoolCtx(ctx context.Context, s ArenaSampler, count int, a *Arena) (Pool, error) {
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)

@@ -64,8 +64,7 @@ func TestRRSetAlwaysContainsSource(t *testing.T) {
 func TestRRGraphStructure(t *testing.T) {
 	g := graph.ErdosRenyi(60, 180, graph.NewRand(4))
 	s := NewSampler(g, NewWeightedCascade(g), graph.NewRand(5))
-	for i := 0; i < 200; i++ {
-		r := s.RRGraph()
+	for _, r := range sampleRRs(s, 200) {
 		if r.Len() == 0 {
 			t.Fatal("empty RR graph")
 		}
@@ -91,7 +90,7 @@ func TestRRGraphStructure(t *testing.T) {
 func TestRRGraphP1IsComponent(t *testing.T) {
 	g := lineGraph(t, 5)
 	s := NewSampler(g, Uniform{P: 1}, graph.NewRand(6))
-	r := s.RRGraphFrom(2)
+	r := sampleFrom(s, 2)
 	if r.Len() != 5 {
 		t.Errorf("p=1 RR graph has %d nodes, want 5", r.Len())
 	}
@@ -111,8 +110,7 @@ func TestRREstimateMatchesMonteCarlo(t *testing.T) {
 	model := NewWeightedCascade(g)
 	s := NewSampler(g, model, graph.NewRand(8))
 	const theta = 60000
-	rrs := s.Batch(theta)
-	counts := EstimateAll(g, rrs)
+	counts := EstimateAll(g, sampleRRs(s, theta))
 	mcRng := graph.NewRand(9)
 	for _, v := range []graph.NodeID{0, 7, 23} {
 		est := InfluenceFromCount(counts[v], theta, g.N())
@@ -129,7 +127,7 @@ func TestRREstimateMatchesMonteCarlo(t *testing.T) {
 func TestInducedRRGraphP1(t *testing.T) {
 	g := lineGraph(t, 7)
 	s := NewSampler(g, Uniform{P: 1}, graph.NewRand(10))
-	r := s.RRGraphFrom(3)
+	r := sampleFrom(s, 3)
 	// restrict to {2,3,4}: reachable must be exactly those
 	keep := map[graph.NodeID]bool{2: true, 3: true, 4: true}
 	reach := r.ReachableWithin(func(v graph.NodeID) bool { return keep[v] })
@@ -165,10 +163,10 @@ func TestRestrictedSampling(t *testing.T) {
 				t.Fatalf("RRSetWithin escaped restriction: %d", v)
 			}
 		}
-		r := s.RRGraphWithin(graph.NodeID(i%20), member)
+		r := sampleWithin(s, graph.NodeID(i%20), member)
 		for _, v := range r.Nodes {
 			if v >= 20 {
-				t.Fatalf("RRGraphWithin escaped restriction: %d", v)
+				t.Fatalf("RRGraphWithinInto escaped restriction: %d", v)
 			}
 		}
 	}
@@ -183,8 +181,8 @@ func TestRestrictedEqualsUnrestricted(t *testing.T) {
 	all := func(graph.NodeID) bool { return true }
 	for i := 0; i < 50; i++ {
 		src := graph.NodeID(i % 30)
-		r1 := s1.RRGraphFrom(src)
-		r2 := s2.RRGraphWithin(src, all)
+		r1 := sampleFrom(s1, src)
+		r2 := sampleWithin(s2, src, all)
 		if r1.Len() != r2.Len() || r1.NumEdges() != r2.NumEdges() {
 			t.Fatalf("restricted(all) differs from unrestricted at %d", i)
 		}
@@ -212,7 +210,7 @@ func TestRRGraphProperty(t *testing.T) {
 	s := NewSampler(g, NewWeightedCascade(g), graph.NewRand(17))
 	check := func(srcRaw uint8) bool {
 		src := graph.NodeID(int(srcRaw) % g.N())
-		r := s.RRGraphFrom(src)
+		r := sampleFrom(s, src)
 		if r.Source() != src {
 			return false
 		}

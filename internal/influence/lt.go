@@ -28,11 +28,6 @@ type UniformLT struct{ G *graph.Graph }
 // Weight implements LTWeights.
 func (w UniformLT) Weight(_, v graph.NodeID) float64 { return 1 / float64(w.G.Degree(v)) }
 
-var (
-	_ GraphSampler = (*Sampler)(nil)
-	_ GraphSampler = (*LTSampler)(nil)
-)
-
 // LTSampler generates RR sets and RR graphs under the LT model. Like
 // Sampler it is single-goroutine; use one per worker.
 type LTSampler struct {
@@ -65,110 +60,6 @@ func (s *LTSampler) pickInNeighbor(v graph.NodeID) graph.NodeID {
 		}
 	}
 	return -1
-}
-
-// RRGraph samples one LT RR graph from a uniform random source.
-func (s *LTSampler) RRGraph() *RRGraph {
-	return s.RRGraphFrom(graph.NodeID(s.rng.IntN(s.g.N())))
-}
-
-// RRGraphFrom samples the LT RR graph rooted at src: the reverse walk along
-// each node's single live in-edge, stopped at the first revisit.
-func (s *LTSampler) RRGraphFrom(src graph.NodeID) *RRGraph {
-	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	cur := src
-	for {
-		u := s.pickInNeighbor(cur)
-		if u < 0 {
-			break
-		}
-		if s.epoch[u] == s.ver {
-			// cycle: record the closing edge, the walk cannot grow further
-			live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-			break
-		}
-		s.epoch[u] = s.ver
-		s.pos[u] = int32(len(r.Nodes))
-		live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-		r.Nodes = append(r.Nodes, u)
-		cur = u
-	}
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// RRGraphWithin samples the LT RR graph rooted at src confined to member
-// nodes: the live in-edge of each node is chosen globally (the possible
-// world does not depend on the community), but the reverse walk stops as
-// soon as the chosen tail leaves the restriction — matching the induced
-// RR graph semantics of Definition 3 for the LT live-edge worlds.
-func (s *LTSampler) RRGraphWithin(src graph.NodeID, member func(graph.NodeID) bool) *RRGraph {
-	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	cur := src
-	for {
-		u := s.pickInNeighbor(cur)
-		if u < 0 || !member(u) {
-			break
-		}
-		if s.epoch[u] == s.ver {
-			live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-			break
-		}
-		s.epoch[u] = s.ver
-		s.pos[u] = int32(len(r.Nodes))
-		live = append(live, liveEdge{s.pos[cur], s.pos[u]})
-		r.Nodes = append(r.Nodes, u)
-		cur = u
-	}
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// Batch samples count LT RR graphs.
-func (s *LTSampler) Batch(count int) []*RRGraph {
-	out := make([]*RRGraph, count)
-	for i := range out {
-		out[i] = s.RRGraph()
-	}
-	return out
 }
 
 // SpreadLT runs one forward LT simulation from seed: thresholds are drawn

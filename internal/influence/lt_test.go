@@ -24,8 +24,7 @@ func TestUniformLTWeightsSumToOne(t *testing.T) {
 func TestLTRRGraphIsReversePath(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, graph.NewRand(2))
 	s := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(3))
-	for i := 0; i < 300; i++ {
-		r := s.RRGraph()
+	for _, r := range sampleRRs(s, 300) {
 		if r.Len() == 0 {
 			t.Fatal("empty LT RR graph")
 		}
@@ -63,8 +62,11 @@ func TestLTEstimateMatchesForwardSimulation(t *testing.T) {
 	s := NewLTSampler(g, w, graph.NewRand(5))
 	const theta = 60000
 	counts := make([]int, g.N())
+	a := NewArena()
 	for i := 0; i < theta; i++ {
-		for _, v := range s.RRGraph().Nodes {
+		a.Reset()
+		s.RRGraphInto(a)
+		for _, v := range a.Pool().Nodes(0) {
 			counts[v]++
 		}
 	}
@@ -85,8 +87,8 @@ func TestLTEstimateMatchesForwardSimulation(t *testing.T) {
 
 func TestLTSamplerDeterminism(t *testing.T) {
 	g := graph.ErdosRenyi(25, 70, graph.NewRand(7))
-	a := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)).Batch(50)
-	b := NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)).Batch(50)
+	a := sampleRRs(NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)), 50)
+	b := sampleRRs(NewLTSampler(g, UniformLT{G: g}, graph.NewRand(8)), 50)
 	for i := range a {
 		if a[i].Len() != b[i].Len() || a[i].Source() != b[i].Source() {
 			t.Fatalf("batch %d differs", i)

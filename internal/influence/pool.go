@@ -11,8 +11,8 @@ import "github.com/codsearch/cod/internal/graph"
 // Sample i occupies nodes[at[i].Node:at[i+1].Node]; its offsets, one more
 // than its nodes, start at off[at[i].Node+i]; its adjacency is
 // adj[at[i].Adj:at[i+1].Adj], indexed by those local offsets. Sample i read
-// through Sample is field-for-field the RR graph the allocating samplers
-// return for the same random stream.
+// through Sample is the RR graph's CSR form: its nodes, source first, and
+// its live edges bucketed by head position.
 //
 // A Pool is read-only. One returned by Arena.Pool aliases the arena and
 // dies at its next Reset (see Arena); Clone makes one that owns its arrays.

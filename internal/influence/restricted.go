@@ -2,8 +2,8 @@ package influence
 
 import "github.com/codsearch/cod/internal/graph"
 
-// Restricted sampling: RR sets and RR graphs of the IC process confined to a
-// community C, keeping the *original* edge probabilities of the full graph
+// Restricted sampling: RR sets (here) and RR graphs (RRGraphWithinInto) of
+// the IC process confined to a community C, keeping the *original* edge probabilities of the full graph
 // (the paper's σ_C(v) restricts propagation to C but does not re-normalize
 // p(u,v); Theorem 2's induced RR graphs rely on exactly this semantics).
 
@@ -26,51 +26,6 @@ func (s *Sampler) RRSetWithin(src graph.NodeID, member func(graph.NodeID) bool) 
 		}
 	}
 	return nodes
-}
-
-// RRGraphWithin samples an RR graph rooted at src confined to member nodes,
-// with the same every-in-edge coin policy as RRGraphFrom so that induced RR
-// graphs over sub-communities of the restriction remain faithful.
-func (s *Sampler) RRGraphWithin(src graph.NodeID, member func(graph.NodeID) bool) *RRGraph {
-	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	for qi := 0; qi < len(r.Nodes); qi++ {
-		v := r.Nodes[qi]
-		for _, u := range s.g.Neighbors(v) {
-			if !member(u) {
-				continue
-			}
-			if s.rng.Float64() >= s.model.Prob(u, v) {
-				continue
-			}
-			if s.epoch[u] != s.ver {
-				s.epoch[u] = s.ver
-				s.pos[u] = int32(len(r.Nodes))
-				r.Nodes = append(r.Nodes, u)
-			}
-			live = append(live, liveEdge{int32(qi), s.pos[u]})
-		}
-	}
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
 }
 
 // SpreadWithin runs one forward IC simulation from seed confined to member

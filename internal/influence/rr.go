@@ -33,21 +33,6 @@ func (r *RRGraph) Len() int { return len(r.Nodes) }
 // NumEdges returns the number of live edges recorded in the RR graph.
 func (r *RRGraph) NumEdges() int { return len(r.Adj) }
 
-// GraphSampler is the sampling interface the COD pipelines depend on; both
-// the IC Sampler and the LTSampler implement it, which is how the framework
-// supports multiple influence models (§II, "Influence Models").
-type GraphSampler interface {
-	// RRGraph samples one RR graph from a uniform random source.
-	RRGraph() *RRGraph
-	// RRGraphFrom samples one RR graph rooted at src.
-	RRGraphFrom(src graph.NodeID) *RRGraph
-	// RRGraphWithin samples one RR graph rooted at src with propagation
-	// confined to member nodes (original probabilities).
-	RRGraphWithin(src graph.NodeID, member func(graph.NodeID) bool) *RRGraph
-	// Batch samples count RR graphs from uniform random sources.
-	Batch(count int) []*RRGraph
-}
-
 // Sampler generates RR sets and RR graphs for one (graph, model) pair. It is
 // not safe for concurrent use; create one Sampler per goroutine, each with
 // its own rng.
@@ -117,63 +102,6 @@ func (s *Sampler) RRSetFrom(src graph.NodeID) []graph.NodeID {
 		}
 	}
 	return nodes
-}
-
-// RRGraph samples one RR graph from a uniform source.
-func (s *Sampler) RRGraph() *RRGraph {
-	return s.RRGraphFrom(graph.NodeID(s.rng.IntN(s.g.N())))
-}
-
-// RRGraphFrom samples one RR graph rooted at src. Every in-edge (u, v) of
-// every visited v gets an independent liveness coin with probability
-// p(u, v); live edges are recorded even when u was already visited.
-func (s *Sampler) RRGraphFrom(src graph.NodeID) *RRGraph {
-	s.ver++
-	r := &RRGraph{Nodes: []graph.NodeID{src}}
-	s.pos[src] = 0
-	s.epoch[src] = s.ver
-
-	type liveEdge struct{ headPos, tail int32 }
-	var live []liveEdge
-	for qi := 0; qi < len(r.Nodes); qi++ {
-		v := r.Nodes[qi]
-		for _, u := range s.g.Neighbors(v) {
-			if s.rng.Float64() >= s.model.Prob(u, v) {
-				continue
-			}
-			if s.epoch[u] != s.ver {
-				s.epoch[u] = s.ver
-				s.pos[u] = int32(len(r.Nodes))
-				r.Nodes = append(r.Nodes, u)
-			}
-			live = append(live, liveEdge{int32(qi), s.pos[u]})
-		}
-	}
-	// Bucket live edges by head position into CSR form.
-	r.Off = make([]int32, len(r.Nodes)+1)
-	for _, e := range live {
-		r.Off[e.headPos+1]++
-	}
-	for i := 1; i <= len(r.Nodes); i++ {
-		r.Off[i] += r.Off[i-1]
-	}
-	r.Adj = make([]int32, len(live))
-	cursor := make([]int32, len(r.Nodes))
-	copy(cursor, r.Off[:len(r.Nodes)])
-	for _, e := range live {
-		r.Adj[cursor[e.headPos]] = e.tail
-		cursor[e.headPos]++
-	}
-	return r
-}
-
-// Batch samples count RR graphs.
-func (s *Sampler) Batch(count int) []*RRGraph {
-	out := make([]*RRGraph, count)
-	for i := range out {
-		out[i] = s.RRGraph()
-	}
-	return out
 }
 
 // EstimateAll counts, for every node, the number of RR graphs containing a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/codsearch/cod/internal/engine"
@@ -164,10 +165,14 @@ type Searcher struct {
 // engineConfig is the one mapping from Options to the engine's parameters
 // and configuration: every searcher builds its engine from it, and the
 // index header records its parameters. A NaN or infinite Beta is an error:
-// it would turn every boosted edge weight into NaN or +Inf.
+// it would turn every boosted edge weight into NaN or +Inf. So is an
+// adaptive Eps or Delta outside (0, 1) (see engine.Adaptive.Validate).
 func (o Options) engineConfig() (engine.Params, engine.Config, error) {
 	if math.IsNaN(o.Beta) || math.IsInf(o.Beta, 0) {
 		return engine.Params{}, engine.Config{}, fmt.Errorf("cod: Options.Beta %g is not finite", o.Beta)
+	}
+	if err := o.Adaptive.Validate(); err != nil {
+		return engine.Params{}, engine.Config{}, fmt.Errorf("cod: Options.Adaptive: %w", err)
 	}
 	return engine.Params{K: o.K, Theta: o.Theta, Beta: o.Beta, Linkage: o.Linkage,
 			Seed: o.Seed, Model: o.Model, Balanced: o.Balanced, Workers: o.Workers},
@@ -216,6 +221,10 @@ func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64,
 	sampler := engine.NewGraphSampler(s.g.internalGraph(), p.Model, graph.NewRand(s.nextSeed()))
 	total := p.Theta * s.g.N()
 	span := obs.FromContext(ctx).StartSpan(obs.StageRRSample)
+	// The arena holds one sample at a time and keeps its capacity across
+	// Resets, so the loop stops allocating once it has seen its largest RR
+	// graph, whatever θ·N is.
+	a := influence.NewArena()
 	count := 0
 	for i := 0; i < total; i++ {
 		if i%influence.PollEvery == 0 {
@@ -224,11 +233,10 @@ func (s *Searcher) EstimateInfluenceCtx(ctx context.Context, v NodeID) (float64,
 				return 0, &CanceledError{Op: "cod: influence estimation", Done: i, Total: total, Cause: err}
 			}
 		}
-		for _, u := range sampler.RRGraph().Nodes {
-			if u == v {
-				count++
-				break
-			}
+		a.Reset()
+		sampler.RRGraphInto(a)
+		if slices.Contains(a.Pool().Nodes(0), v) {
+			count++
 		}
 	}
 	span.EndItems(total)
